@@ -37,7 +37,7 @@ from .errors import (
 from .machines import (
     BLANK, Row, StackMachineSpec, TERMINALS, bpp_decide, ptm_run_with_choices,
 )
-from .network import Decision, NetworkState, RnnConfig, input_at, step
+from .network import Decision, RnnConfig, input_at, step
 from .words import BitStream, ZERO, as_rat, delta4, sigma, trunc_frac
 
 
@@ -51,6 +51,14 @@ def ceil_log2(x):
 def _ceil_rat(x):
     x = as_rat(x)
     return int(-((-x.numerator) // x.denominator))
+
+
+def _derive(cfg, key, build):
+    """Config derived from cfg, built on first use and kept on cfg."""
+    derived = cfg._derived.get(key)
+    if derived is None:
+        derived = cfg._derived[key] = build()
+    return derived
 
 
 # ==========================================================================
@@ -199,6 +207,8 @@ def _pin(lo, hi):
 
 
 def _interval_step(cfg, h, x, bias_cell, bias_iv):
+    """Interval image of one step; the sums run over the integer weight
+    numerators and are scaled by the common denominator at the end."""
     lo_c, hi_c = {}, {}
 
     def feed(i, w, lo, hi):
@@ -221,13 +231,15 @@ def _interval_step(cfg, h, x, bias_cell, bias_iv):
     live = set(hi_c)
     live.update(cfg._pos_bias)
     live.add(bias_cell)
+    d = cfg._den
     h1 = {}
     for i in live:
-        blo = bhi = cfg._bias_map.get(i, ZERO)
+        b = cfg._bias_map.get(i, 0)
+        lo = (lo_c.get(i, ZERO) + b) / d
+        hi = (hi_c.get(i, ZERO) + b) / d
         if i == bias_cell:
-            blo, bhi = bias_iv
-        lo = sigma(lo_c.get(i, ZERO) + blo)
-        hi = sigma(hi_c.get(i, ZERO) + bhi)
+            lo, hi = lo + bias_iv[0], hi + bias_iv[1]
+        lo, hi = sigma(lo), sigma(hi)
         if hi > 0:
             h1[i] = (lo, hi)
     return h1
@@ -247,7 +259,7 @@ def _interval_readout(cfg, h):
             else:
                 lo += w * iv[1]
                 hi += w * iv[0]
-        vals.append((lo, hi))
+        vals.append((lo / cfg._den, hi / cfg._den))
     return vals
 
 
@@ -279,7 +291,7 @@ def ann_run(a, w, max_steps, start_bits=None, max_bits=1 << 16):
     """
     if max_steps < len(w):
         raise ValueError("max_steps smaller than the input word")
-    bits = start_bits if start_bits is not None else max(16, max_steps)
+    bits = start_bits if start_bits is not None else 16
     while bits <= max_bits:
         prefix = a.bias_stream.prefix(bits)
         base = delta4(prefix)
@@ -301,14 +313,18 @@ def _lift_evolving(cfg):
     one into cell 0."""
     if cfg.n_in != 2:
         raise ValueError("evolving lift expects a two-input base")
-    w_in = {}
-    for (i, c), wt in cfg.w_in.items():
-        w_in[(i, 3 if c == 2 else c)] = wt
-    if (0, 2) in w_in:
-        raise ValueError("cell 0 already reads the stochastic line")
-    w_in[(0, 2)] = as_rat(1)
-    return RnnConfig(k=cfg.k, w_in=w_in, w_res=cfg.w_res, w_out=cfg.w_out,
-                     h0=cfg.h0, n_in=3, cell_names=cfg.cell_names)
+
+    def build():
+        w_in = {}
+        for (i, c), wt in cfg.w_in.items():
+            w_in[(i, 3 if c == 2 else c)] = wt
+        if (0, 2) in w_in:
+            raise ValueError("cell 0 already reads the stochastic line")
+        w_in[(0, 2)] = as_rat(1)
+        return RnnConfig(k=cfg.k, w_in=w_in, w_res=cfg.w_res, w_out=cfg.w_out,
+                         h0=cfg.h0, n_in=3, cell_names=cfg.cell_names)
+
+    return _derive(cfg, "evolving", build)
 
 
 def enn_run(e, w, max_steps, want_trace=False):
@@ -330,26 +346,38 @@ def count_restarts(e, trace):
 
 
 def truncate_config(cfg, q):
-    """Copy of a network with every weight cut to q fractional bits."""
+    """Copy of a network with every weight cut to q fractional bits.
+
+    Built once per q and kept on cfg; a network whose weights and
+    initial state are all multiples of 2^-q is its own truncation.
+    """
+    one = 1 << q
+    if one % cfg._den == 0 and one % cfg._start.den == 0:
+        return cfg
+
     def cut(d):
         return {k: trunc_frac(v, q) for k, v in d.items()}
 
-    return RnnConfig(k=cfg.k, w_in=cut(cfg.w_in), w_res=cut(cfg.w_res),
-                     w_out=cut(cfg.w_out),
-                     h0=[trunc_frac(v, q) for v in cfg.h0],
-                     n_in=cfg.n_in, cell_names=cfg.cell_names)
+    return _derive(cfg, ("truncated", q), lambda: RnnConfig(
+        k=cfg.k, w_in=cut(cfg.w_in), w_res=cut(cfg.w_res),
+        w_out=cut(cfg.w_out), h0=[trunc_frac(v, q) for v in cfg.h0],
+        n_in=cfg.n_in, cell_names=cfg.cell_names))
 
 
 def _truncated_loop(cfg, w, steps, q, x2=None):
+    """Protocol run of the q-bit truncation of cfg, its state cut back
+    to q bits after every step.  step still reads out the uncut state,
+    so a garbled output line raises as it would in the exact run."""
     if steps < len(w):
         raise ValueError("steps smaller than the input word")
     tcfg = truncate_config(cfg, q)
-    state = NetworkState(0, tcfg.h0)
+    state = tcfg._start
     for t in range(steps):
-        state, _y = step(tcfg, state, input_at(w, t, tcfg.n_in, x2))
-        h = tuple(trunc_frac(v, q) for v in state.h)
-        state = NetworkState(state.t, h)
-        y = tcfg.readout(h)
+        state, y = step(tcfg, state, input_at(w, t, tcfg.n_in, x2))
+        cut = state.truncated(q)
+        if cut is not state:
+            state = cut
+            y = tcfg.readout(state)
         if y[1] == 1:
             return Decision("accept" if y[0] == 1 else "reject", tau=state.t)
         if y[0] != 0:
@@ -367,9 +395,7 @@ def truncate_run(spec, policy, w, steps, x2=None):
     """
     q = policy.q
     if isinstance(spec, AnnSpec):
-        bias = trunc_frac(delta4(spec.bias_stream.prefix(q)), q)
-        cfg = _with_bias(spec.base, spec.bias_cell, bias)
-        return _truncated_loop(cfg, w, steps, q, x2)
+        return _truncated_loop(_with_prefix_bias(spec, q), w, steps, q, x2)
     if isinstance(spec, EnnSpec):
         lifted = _lift_evolving(spec.base)
         return _truncated_loop(lifted, w, steps, q,
@@ -383,11 +409,18 @@ def _cfg_of(spec):
     return spec.cfg
 
 
-def _with_bias(cfg, cell, value):
-    w_in = dict(cfg.w_in)
-    w_in[(cell, cfg.n_in)] = as_rat(value)
-    return RnnConfig(k=cfg.k, w_in=w_in, w_res=cfg.w_res, w_out=cfg.w_out,
-                     h0=cfg.h0, n_in=cfg.n_in, cell_names=cfg.cell_names)
+def _with_prefix_bias(a, q):
+    """The analog net with its bias cut to q bits of its first q digits."""
+    value = trunc_frac(delta4(a.bias_stream.prefix(q)), q)
+    cfg = a.base
+
+    def build():
+        w_in = dict(cfg.w_in)
+        w_in[(a.bias_cell, cfg.n_in)] = value
+        return RnnConfig(k=cfg.k, w_in=w_in, w_res=cfg.w_res, w_out=cfg.w_out,
+                         h0=cfg.h0, n_in=cfg.n_in, cell_names=cfg.cell_names)
+
+    return _derive(cfg, ("bias", a.bias_cell, value), build)
 
 
 @dataclass(frozen=True)
@@ -716,9 +749,7 @@ def algo1_tma_simulate_ann(a, f, c, w):
                       "divergence from the analog run is expected")
         return Decision("timeout")
     q = c * fn
-    bias = delta4(a.bias_stream.prefix(q))
-    cfg = _with_bias(a.base, a.bias_cell, bias)
-    return _truncated_loop(cfg, w, fn, q)
+    return _truncated_loop(_with_prefix_bias(a, q), w, fn, q)
 
 
 def algo2_tma_simulate_enn(e, f, c, w):

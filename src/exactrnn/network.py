@@ -8,7 +8,11 @@ update and output:
     y   =  theta(W_out h')
 
 with sigma the [0,1] clamp and theta the hard threshold.  All
-arithmetic is exact rational; there is no floating point anywhere.
+arithmetic is exact; there is no floating point anywhere.  A config
+holds its weights as integers over one common denominator D, and a
+state holds only its live (nonzero) cells, as integer numerators over
+one shared denominator, so a step is integer multiply-adds plus a
+single gcd.
 
 Word I/O protocol: bit i of the word arrives as x_0 = w_i with
 validation x_1 = 1, input then goes silent (0,0).  The network answers
@@ -16,11 +20,12 @@ with a single spike y_1 = 1 whose companion bit y_0 carries
 accept/reject; output must be (0,0) strictly before that.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ProtocolViolation, UndefinedThreshold
-from .words import ZERO, as_rat, check_bitword, rat_str, sigma
+from .words import ZERO, Rat, as_rat, check_bitword, rat_str
 
 
 def theta(v):
@@ -87,32 +92,43 @@ class RnnConfig:
                 raise ValueError("cell_names length does not match k")
         self.cell_names = cell_names
 
-        # cached column views for the sparse update loop
-        self._bias_map = {i: w for (i, c), w in self.w_in.items() if c == n_in}
-        self._pos_bias = sorted(i for i, w in self._bias_map.items() if w > 0)
-        self._in_cols = [
-            [(i, w) for (i, cc), w in sorted(self.w_in.items()) if cc == c]
-            for c in range(n_in)
-        ]
+        # integer views for the sparse update loop: each weight is its
+        # numerator over the common denominator _den, grouped by the
+        # column it reads
+        den = math.lcm(*(w.denominator for d in (self.w_in, self.w_res, self.w_out)
+                         for w in d.values()))
+
+        def num(w):
+            return int(w.numerator * (den // w.denominator))
+
+        self._den = den
+        self._bias_map = {i: num(w) for (i, c), w in self.w_in.items() if c == n_in}
+        self._pos_bias = [i for i, b in self._bias_map.items() if b > 0]
+        self._in_cols = [[(i, num(w)) for (i, cc), w in self.w_in.items() if cc == c]
+                         for c in range(n_in)]
         self._res_by_col = {}
         for (i, j), w in self.w_res.items():
-            self._res_by_col.setdefault(j, []).append((i, w))
-        for lst in self._res_by_col.values():
-            lst.sort()
-        self._out_rows = (
-            sorted((j, w) for (r, j), w in self.w_out.items() if r == 0),
-            sorted((j, w) for (r, j), w in self.w_out.items() if r == 1),
-        )
+            self._res_by_col.setdefault(j, []).append((i, num(w)))
+        self._out_rows = tuple([(j, num(w)) for (r, j), w in self.w_out.items() if r == row]
+                               for row in (0, 1))
+        self._start = NetworkState(0, self.h0)
+        # configs derived from this one (truncations, lifts, installed
+        # biases), built once on first use; the config is immutable, so
+        # they never go stale
+        self._derived = {}
 
-    def readout(self, h):
-        vals = []
+    def readout(self, state):
+        """Output pair theta(W_out h) of a state."""
+        nums, one = state.nums, self._den * state.den
+        out = []
         for row in self._out_rows:
-            acc = ZERO
+            acc = 0
             for j, w in row:
-                if h[j]:
-                    acc += w * h[j]
-            vals.append(theta(acc))
-        return tuple(vals)
+                m = nums.get(j)
+                if m:
+                    acc += w * m
+            out.append(0 if acc <= 0 else 1 if acc >= one else theta(Rat(acc, one)))
+        return tuple(out)
 
     # ------------------------------------------------------ serialization
 
@@ -143,10 +159,50 @@ class RnnConfig:
         )
 
 
-@dataclass(frozen=True)
 class NetworkState:
-    t: int
-    h: tuple
+    """Network state after t steps.
+
+    Only live (nonzero) cells are stored, as integer numerators over one
+    shared denominator: cell i holds nums[i] / den.  h, the k-tuple of
+    exact rationals, is built on first read.
+    """
+
+    __slots__ = ("t", "k", "den", "nums", "_h")
+
+    def __init__(self, t, h):
+        h = tuple(as_rat(v) for v in h)
+        den = math.lcm(*(v.denominator for v in h))
+        self.t, self.k, self.den, self._h = t, len(h), den, h
+        self.nums = {i: int(v.numerator * (den // v.denominator))
+                     for i, v in enumerate(h) if v}
+
+    @classmethod
+    def _sparse(cls, t, k, den, nums):
+        state = cls.__new__(cls)
+        state.t, state.k, state.den, state.nums, state._h = t, k, den, nums, None
+        return state
+
+    @property
+    def h(self):
+        if self._h is None:
+            h = [ZERO] * self.k
+            for i, m in self.nums.items():
+                h[i] = Rat(m, self.den)
+            self._h = tuple(h)
+        return self._h
+
+    def truncated(self, q):
+        """The state with every cell cut toward zero to q fractional bits."""
+        one = 1 << q
+        if one % self.den == 0:
+            return self
+        den = self.den
+        nums = {}
+        for i, m in self.nums.items():
+            m = m * one // den
+            if m:
+                nums[i] = m
+        return NetworkState._sparse(self.t, self.k, one, nums)
 
 
 @dataclass
@@ -176,32 +232,42 @@ def step(cfg, state, x):
 
     Only cells that receive a nonzero contribution (or carry a positive
     bias) are evaluated; everything else saturates to 0 for free, which
-    is what makes large compiled networks cheap to run.
+    is what makes large compiled networks cheap to run.  The input
+    lines x carry integers (bits under the word protocol).  The sums
+    are numerators over cfg._den * state.den; one gcd brings the new
+    state back to lowest terms.
     """
     if len(x) != cfg.n_in:
         raise ValueError(f"expected {cfg.n_in} input lines, got {len(x)}")
-    contrib = {}
-    for c in range(cfg.n_in):
-        xv = x[c]
+    den = state.den
+    acc = dict.fromkeys(cfg._pos_bias, 0)
+    get = acc.get
+    for c, xv in enumerate(x):
         if xv:
+            xv *= den
             for i, w in cfg._in_cols[c]:
-                contrib[i] = contrib.get(i, ZERO) + w * xv
-    for j, hv in enumerate(state.h):
-        if hv:
-            col = cfg._res_by_col.get(j)
-            if col:
-                for i, w in col:
-                    contrib[i] = contrib.get(i, ZERO) + w * hv
-    h1 = [ZERO] * cfg.k
-    live = set(contrib)
-    live.update(cfg._pos_bias)
-    for i in live:
-        v = contrib.get(i, ZERO) + cfg._bias_map.get(i, ZERO)
+                acc[i] = get(i, 0) + w * xv
+    res = cfg._res_by_col
+    for j, m in state.nums.items():
+        col = res.get(j)
+        if col:
+            for i, w in col:
+                acc[i] = get(i, 0) + w * m
+    one = cfg._den * den
+    bias = cfg._bias_map
+    nums = {}
+    for i, v in acc.items():
+        b = bias.get(i)
+        if b:
+            v += b * den
         if v > 0:
-            h1[i] = sigma(v)
-    h1 = tuple(h1)
-    nxt = NetworkState(state.t + 1, h1)
-    return nxt, cfg.readout(h1)
+            nums[i] = v if v < one else one
+    g = math.gcd(one, *nums.values())
+    if g > 1:
+        one //= g
+        nums = {i: v // g for i, v in nums.items()}
+    nxt = NetworkState._sparse(state.t + 1, cfg.k, one, nums)
+    return nxt, cfg.readout(nxt)
 
 
 def input_at(w, t, n_in, x2=None):
@@ -232,7 +298,7 @@ def run_word(cfg, w, max_steps, want_trace=False, x2=None):
     check_bitword(w)
     if max_steps < len(w):
         raise ValueError("max_steps smaller than the input word")
-    state = NetworkState(0, cfg.h0)
+    state = cfg._start
     trace = [] if want_trace else None
     for t in range(max_steps):
         state, y = step(cfg, state, input_at(w, t, cfg.n_in, x2))

@@ -12,14 +12,15 @@ exact rationals produced here.  Two encoders are exposed:
   with the saturation ``sigma``, which is what lets a stack live inside
   a single network cell.
 
-Rationals are gmpy2.mpq when available (much faster), with
-fractions.Fraction as a pure-python fallback.
+Rationals are gmpy2.mpq when available, with fractions.Fraction as a
+pure-python fallback.  The network hot path does not use them: it
+runs on Python ints (integer numerators over a common denominator, see
+``network``), so the choice matters only off that path.
 """
 
 import fractions
 import itertools
 import random
-import threading
 
 try:
     from gmpy2 import mpq as _ratclass
@@ -116,18 +117,18 @@ def delta2(w):
     return total
 
 
+_DELTA4_DIGITS = str.maketrans("01", "13")
+
+
 def delta4(w):
     """Base-4 encoder with digit set {1, 3}: sum (2 w_i + 1)/4^(i+1).
 
     Injective on finite words; nonempty words land in [1/4, 1).
     """
     check_bitword(w)
-    total = ZERO
-    p = ONE
-    for c in w:
-        p = p / 4
-        total += (2 * int(c) + 1) * p
-    return total
+    if not w:
+        return ZERO
+    return _ratclass(int(w.translate(_DELTA4_DIGITS), 4)) / 4 ** len(w)
 
 
 def _decode_step(r):
@@ -251,7 +252,6 @@ class BitStream:
     def __init__(self, fn, value=None, spec=None, mathematical=True):
         self._fn = fn
         self._memo = []
-        self._lock = threading.Lock()
         self.value = value
         self._spec = spec
         self.mathematical = mathematical
@@ -259,12 +259,10 @@ class BitStream:
     def bit(self, i):
         if i < 0:
             raise IndexError(i)
-        if i >= len(self._memo):
-            with self._lock:
-                while len(self._memo) <= i:
-                    b = 1 if self._fn(len(self._memo)) else 0
-                    self._memo.append(b)
-        return self._memo[i]
+        memo = self._memo
+        while len(memo) <= i:
+            memo.append(1 if self._fn(len(memo)) else 0)
+        return memo[i]
 
     def prefix(self, n):
         if n > 0:

@@ -175,6 +175,16 @@ def test_analog_run_decision_times_are_stable():
     assert taus == {"": 31, "1": 57, "1010": 135}
 
 
+def test_analog_run_precision_does_not_follow_the_step_budget():
+    # bias digits start at 16 and double on demand, so a step budget
+    # past the 65536-digit cap still runs and decides the same way
+    m, r = cmp_pair()
+    a = ann_from_tma(m, r)
+    for w in ("", "1", "1010"):
+        d, big = ann_run(a, w, 200), ann_run(a, w, 1 << 17)
+        assert (big.kind, big.tau) == (d.kind, d.tau)
+
+
 def test_analog_bias_cell_must_be_free():
     cfg = RnnConfig(k=1, w_in={(0, 2): R(1) / 2}, w_res={}, w_out={})
     with pytest.raises(ValueError):

@@ -5,8 +5,9 @@ finite realization here:
 
   * analog: one cell's bias is a real number, presented as an infinite
     digit stream; runs use interval arithmetic over lazily materialized
-    digit prefixes and retry with more digits when a threshold
-    comparison is not yet pinned down;
+    digit prefixes (both interval ends of every live cell as integer
+    numerators over one shared denominator) and retry with more digits
+    when a threshold comparison is not yet pinned down;
   * evolving: one cell's bias is a bit that changes every step;
     runs are exact since bits are exact;
   * stochastic: a third input line carries coin flips with a fixed
@@ -38,7 +39,7 @@ from .machines import (
     BLANK, Row, StackMachineSpec, TERMINALS, bpp_decide, ptm_run_with_choices,
 )
 from .network import Decision, RnnConfig, input_at, step
-from .words import BitStream, ZERO, as_rat, delta4, sigma, trunc_frac
+from .words import BitStream, Rat, ZERO, as_rat, delta4, trunc_frac
 
 
 def ceil_log2(x):
@@ -78,9 +79,6 @@ class AnnSpec:
     base: RnnConfig
     bias_stream: BitStream
     bias_cell: int = 0
-    layout: dict = None
-    program: object = None
-    source: object = None
 
     def __post_init__(self):
         key = (self.bias_cell, self.base.n_in)
@@ -105,9 +103,6 @@ class EnnSpec:
 
     base: RnnConfig
     evolving_bias: BitStream
-    layout: dict = None
-    program: object = None
-    source: object = None
     restart_cells: tuple = ()
 
     def to_json(self):
@@ -196,81 +191,127 @@ class _Unresolved(Exception):
     """A threshold comparison straddled a boundary at this precision."""
 
 
-def _pin(lo, hi):
+def _pin(lo, hi, one):
+    """Threshold of the interval [lo, hi] / one, decided on integers."""
     if hi <= 0:
         return 0
-    if lo >= 1:
+    if lo >= one:
         return 1
-    if lo > 0 and hi < 1:
-        raise UndefinedThreshold(f"output interval [{lo}, {hi}] inside (0,1)")
+    if lo > 0 and hi < one:
+        raise UndefinedThreshold(
+            f"output interval [{Rat(lo, one)}, {Rat(hi, one)}] inside (0,1)")
     raise _Unresolved
 
 
-def _interval_step(cfg, h, x, bias_cell, bias_iv):
-    """Interval image of one step; the sums run over the integer weight
-    numerators and are scaled by the common denominator at the end."""
-    lo_c, hi_c = {}, {}
+def _clamp(v, one):
+    return 0 if v <= 0 else v if v < one else one
 
-    def feed(i, w, lo, hi):
-        if w > 0:
-            lo_c[i] = lo_c.get(i, ZERO) + w * lo
-            hi_c[i] = hi_c.get(i, ZERO) + w * hi
-        else:
-            lo_c[i] = lo_c.get(i, ZERO) + w * hi
-            hi_c[i] = hi_c.get(i, ZERO) + w * lo
 
-    for c in range(cfg.n_in):
-        if x[c]:
+def _bias_interval(prefix):
+    """[enc + 4^-B/3, enc + 4^-B] for a B-digit prefix with encoding enc,
+    as (lower numerator, upper numerator, denominator 3 * 4^B).  The
+    encoding of every stream that starts with the prefix lies inside."""
+    scale = 4 ** len(prefix)
+    enc = delta4(prefix)
+    m = 3 * int(enc.numerator) * (scale // int(enc.denominator))
+    return m + 1, m + 3, 3 * scale
+
+
+def _interval_step(cfg, den, lo, hi, x, bias_cell, bias):
+    """Interval image of one step.
+
+    lo and hi map each live cell to the numerators of its lower and
+    upper end over den; returns (den, lo, hi) of the next state, in
+    lowest terms.  A weight reads the lower or the upper end by its
+    sign.  The bias interval (bias[0], bias[1]) / bias[2] enters
+    bias_cell; its denominator joins the shared one only when that cell
+    stays live.
+    """
+    acc_lo = dict.fromkeys(cfg._pos_bias, 0)
+    acc_hi = dict(acc_lo)
+    get_lo, get_hi = acc_lo.get, acc_hi.get
+    for c, xv in enumerate(x):
+        if xv:
+            xv *= den
             for i, w in cfg._in_cols[c]:
-                feed(i, w, x[c], x[c])
-    for j, iv in h.items():
-        col = cfg._res_by_col.get(j)
-        if col:
-            for i, w in col:
-                feed(i, w, iv[0], iv[1])
-    live = set(hi_c)
-    live.update(cfg._pos_bias)
-    live.add(bias_cell)
-    d = cfg._den
-    h1 = {}
-    for i in live:
-        b = cfg._bias_map.get(i, 0)
-        lo = (lo_c.get(i, ZERO) + b) / d
-        hi = (hi_c.get(i, ZERO) + b) / d
-        if i == bias_cell:
-            lo, hi = lo + bias_iv[0], hi + bias_iv[1]
-        lo, hi = sigma(lo), sigma(hi)
-        if hi > 0:
-            h1[i] = (lo, hi)
-    return h1
-
-
-def _interval_readout(cfg, h):
-    vals = []
-    for row in cfg._out_rows:
-        lo = hi = ZERO
-        for j, w in row:
-            iv = h.get(j)
-            if iv is None:
-                continue
+                v = w * xv
+                acc_lo[i] = get_lo(i, 0) + v
+                acc_hi[i] = get_hi(i, 0) + v
+    res = cfg._res_by_col
+    for j, mh in hi.items():
+        col = res.get(j)
+        if not col:
+            continue
+        ml = lo[j]
+        for i, w in col:
             if w > 0:
-                lo += w * iv[0]
-                hi += w * iv[1]
+                acc_lo[i] = get_lo(i, 0) + w * ml
+                acc_hi[i] = get_hi(i, 0) + w * mh
             else:
-                lo += w * iv[1]
-                hi += w * iv[0]
-        vals.append((lo / cfg._den, hi / cfg._den))
-    return vals
+                acc_lo[i] = get_lo(i, 0) + w * mh
+                acc_hi[i] = get_hi(i, 0) + w * ml
+    one = cfg._den * den
+    bias_map = cfg._bias_map
+    cl, ch = acc_lo.pop(bias_cell, 0), acc_hi.pop(bias_cell, 0)
+    new_lo, new_hi = {}, {}
+    for i, vh in acc_hi.items():
+        vl = acc_lo[i]
+        b = bias_map.get(i)
+        if b:
+            b *= den
+            vl += b
+            vh += b
+        if vh > 0:
+            new_lo[i] = _clamp(vl, one)
+            new_hi[i] = _clamp(vh, one)
+    bl, bh, bden = bias
+    b = bias_map.get(bias_cell, 0) * den
+    ch = (ch + b) * bden + bh * one
+    if ch > 0:
+        cl = (cl + b) * bden + bl * one
+        one *= bden
+        new_lo = {i: v * bden for i, v in new_lo.items()}
+        new_hi = {i: v * bden for i, v in new_hi.items()}
+        new_lo[bias_cell] = _clamp(cl, one)
+        new_hi[bias_cell] = _clamp(ch, one)
+    g = math.gcd(one, *new_hi.values(), *new_lo.values())
+    if g > 1:
+        one //= g
+        new_lo = {i: v // g for i, v in new_lo.items()}
+        new_hi = {i: v // g for i, v in new_hi.items()}
+    return one, new_lo, new_hi
 
 
-def _interval_run(cfg, bias_cell, bias_iv, w, max_steps):
-    h = {i: (v, v) for i, v in enumerate(cfg.h0) if v}
+def _interval_readout(cfg, den, lo, hi):
+    """Output pair of an interval state; raises _Unresolved while an
+    output interval straddles 0 or 1."""
+    sums = []
+    for row in cfg._out_rows:
+        sl = sh = 0
+        for j, w in row:
+            mh = hi.get(j)
+            if mh is None:
+                continue
+            ml = lo[j]
+            if w > 0:
+                sl += w * ml
+                sh += w * mh
+            else:
+                sl += w * mh
+                sh += w * ml
+        sums.append((sl, sh))
+    one = cfg._den * den
+    y1 = _pin(*sums[1], one)
+    return _pin(*sums[0], one), y1
+
+
+def _interval_run(cfg, bias_cell, bias, w, max_steps):
+    start = cfg._start
+    den, lo, hi = start.den, start.nums, start.nums
     for t in range(max_steps):
-        x = input_at(w, t, cfg.n_in)
-        h = _interval_step(cfg, h, x, bias_cell, bias_iv)
-        (y0l, y0h), (y1l, y1h) = _interval_readout(cfg, h)
-        y1 = _pin(y1l, y1h)
-        y0 = _pin(y0l, y0h)
+        den, lo, hi = _interval_step(cfg, den, lo, hi,
+                                     input_at(w, t, cfg.n_in), bias_cell, bias)
+        y0, y1 = _interval_readout(cfg, den, lo, hi)
         if y1 == 1:
             return Decision("accept" if y0 == 1 else "reject", tau=t + 1)
         if y0 != 0:
@@ -288,16 +329,18 @@ def ann_run(a, w, max_steps, start_bits=None, max_bits=1 << 16):
     cannot yet decide doubles B and retries.  A comparison no precision
     can settle raises UndefinedThreshold; hitting max_bits raises
     PrecisionExhausted.
+
+    The state is two maps of live cells, the lower and the upper
+    numerators, over one shared integer denominator that a single gcd
+    per step keeps in lowest terms; thresholds are integer comparisons.
     """
     if max_steps < len(w):
         raise ValueError("max_steps smaller than the input word")
     bits = start_bits if start_bits is not None else 16
     while bits <= max_bits:
-        prefix = a.bias_stream.prefix(bits)
-        base = delta4(prefix)
-        iv = (base + as_rat(1) / 3 / 4 ** bits, base + as_rat(1) / 4 ** bits)
+        bias = _bias_interval(a.bias_stream.prefix(bits))
         try:
-            return _interval_run(a.base, a.bias_cell, iv, w, max_steps)
+            return _interval_run(a.base, a.bias_cell, bias, w, max_steps)
         except _Unresolved:
             bits *= 2
     raise PrecisionExhausted(f"still unresolved at {max_bits} bias digits")
@@ -681,9 +724,7 @@ def ann_from_tma(m, r):
     _st, guards, _dec, _spike = add_control(b, ctx, program, stack_cells,
                                             program.initial)
     wire_guard_ops(b, program, guards, stack_cells)
-    layout = {name: i for i, name in enumerate(b.names)}
-    return AnnSpec(base=b.finalize(), bias_stream=r, bias_cell=0,
-                   layout=layout, program=program, source=m)
+    return AnnSpec(base=b.finalize(), bias_stream=r, bias_cell=0)
 
 
 def enn_from_tma(m, e):
@@ -724,11 +765,9 @@ def enn_from_tma(m, e):
 
     wire_guard_ops(b, program, guards, stack_cells,
                    op_table={"load_from": (wire_load, 1)})
-    layout = {name: i for i, name in enumerate(b.names)}
     restarts = tuple(guards[i] for i, row in enumerate(program.rows)
                      if row.state == "RB4")
-    return EnnSpec(base=b.finalize(), evolving_bias=e, layout=layout,
-                   program=program, source=m, restart_cells=restarts)
+    return EnnSpec(base=b.finalize(), evolving_bias=e, restart_cells=restarts)
 
 
 # ==========================================================================

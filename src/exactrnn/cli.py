@@ -104,11 +104,24 @@ BOUNDS = {
 def load_json(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            d = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} line {exc.lineno}: not valid JSON") from exc
+    if not isinstance(d, dict):
+        raise UsageError(f"{path}: top level is not a JSON object")
+    return d
+
+
+def parse_spec(path, what, build):
+    """Run a spec parser; a missing key or a value of the wrong type or
+    range in the file is a usage error, not a crash.  AttributeError is
+    a list or a string where the parser expects an object."""
+    try:
+        return build()
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"{path}: malformed {what} spec: {exc}") from exc
 
 
 def load_corpus(path):
@@ -143,16 +156,14 @@ def load_corpus(path):
 def cmd_compile(args, rec):
     d = load_json(args.machine)
     kind = d.get("type")
-    try:
-        if kind == "tm":
-            source = tm_to_stack(TmSpec.from_json(d))
-        elif kind == "stack-machine":
-            source = StackMachineSpec.from_json(d)
-        else:
-            raise UsageError(
-                f"{args.machine}: cannot compile machine type {kind!r}")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{args.machine}: malformed machine spec: {exc}")
+    if kind == "tm":
+        source = parse_spec(args.machine, "machine",
+                            lambda: tm_to_stack(TmSpec.from_json(d)))
+    elif kind == "stack-machine":
+        source = parse_spec(args.machine, "machine",
+                            lambda: StackMachineSpec.from_json(d))
+    else:
+        raise UsageError(f"{args.machine}: cannot compile machine type {kind!r}")
     net = compile_machine(source)
     payload = canonical(net.to_json()) + "\n"
     with open(args.out, "w") as fh:
@@ -191,8 +202,8 @@ def _verify_pair(md, nd, args):
         if kind != "tma":
             raise UsageError("an analog network verifies against an advice "
                              "machine (type tma)")
-        m = TmaSpec.from_json(md)
-        spec = AnnSpec.from_json(nd)
+        m = parse_spec(args.machine, "machine", lambda: TmaSpec.from_json(md))
+        spec = parse_spec(args.network, "network", lambda: AnnSpec.from_json(nd))
         adv = advice_from_stream(spec.bias_stream, lambda n: bound)
         pb = args.precision_bits
 
@@ -210,8 +221,8 @@ def _verify_pair(md, nd, args):
         if kind != "tma":
             raise UsageError("an evolving network verifies against an advice "
                              "machine (type tma)")
-        m = TmaSpec.from_json(md)
-        spec = EnnSpec.from_json(nd)
+        m = parse_spec(args.machine, "machine", lambda: TmaSpec.from_json(md))
+        spec = parse_spec(args.network, "network", lambda: EnnSpec.from_json(nd))
         adv = advice_from_stream(spec.evolving_bias, lambda n: bound)
 
         def pair(w):
@@ -227,15 +238,16 @@ def _verify_pair(md, nd, args):
             raise UsageError(f"cannot pair a {kind!r} machine with a "
                              "compiled network")
         cls, run = runners[kind]
-        m = cls.from_json(md)
-        cfg = RnnConfig.from_json(nd["cfg"])
-        cs = nd.get("constants", {})
-        c_ramp, c_step = cs.get("c_ramp", 0), cs.get("c_step", 1)
+        m = parse_spec(args.machine, "machine", lambda: cls.from_json(md))
         # The time envelope counts steps of the machine the network was
         # compiled from (embedded in the network file); the machine file
         # is only the decision oracle.
-        probe = StackMachineSpec.from_json(nd["machine"]) \
-            if "machine" in nd else None
+        cfg, probe = parse_spec(args.network, "network", lambda: (
+            RnnConfig.from_json(nd["cfg"]),
+            StackMachineSpec.from_json(nd["machine"]) if "machine" in nd
+            else None))
+        cs = nd.get("constants", {})
+        c_ramp, c_step = cs.get("c_ramp", 0), cs.get("c_step", 1)
 
         def pair(w):
             try:
@@ -298,7 +310,7 @@ def _machine_of_advice(d, path):
     if kind == "coin-match":
         return coin_match_ptm
     if kind == "ptm":
-        m = PtmSpec.from_json(d)
+        m = parse_spec(path, "machine", lambda: PtmSpec.from_json(d))
         return lambda _advice: m
     raise UsageError(f"{path}: cannot build a coin machine from type {kind!r}")
 
@@ -314,7 +326,7 @@ def cmd_stochastic_suite(args, rec):
     sd = load_json(args.snn)
     if sd.get("type") != "snn":
         raise UsageError(f"{args.snn}: not a stochastic network file")
-    snn = SnnSpec.from_json(sd)
+    snn = parse_spec(args.snn, "network", lambda: SnnSpec.from_json(sd))
     pd = load_json(args.ptma)
     machine_of = _machine_of_advice(pd, args.ptma)
 

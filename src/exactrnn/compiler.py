@@ -32,7 +32,7 @@ with C_RAMP = 5 and C_STEP = 6.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ArityExceeded, CompileError
 from .machines import Row, StackMachineSpec, TERMINALS, stack_run
@@ -319,13 +319,9 @@ class CompiledNetwork:
     c_ramp: int = C_RAMP
     c_step: int = C_STEP
     c_op: int = C_OP
-    guard_cells: list = field(default_factory=list)
 
     def time_bound(self, n, machine_steps):
         return self.c_ramp + self.c_step * (machine_steps + n)
-
-    def exact_tau(self, n, machine_steps):
-        return 6 * n + 5 * machine_steps + 6
 
     def machine_steps(self, w, bound=10 ** 6):
         d = stack_run(self.machine, w, bound)
@@ -342,10 +338,6 @@ class CompiledNetwork:
                              "pass machine_steps explicitly")
         return run_word(self.cfg, w, self.time_bound(len(w), machine_steps),
                         want_trace=want_trace)
-
-    def named_nonzero(self, h):
-        names = self.cfg.cell_names
-        return {names[i]: v for i, v in enumerate(h) if v}
 
     def to_json(self):
         return {
@@ -377,7 +369,7 @@ def compile_machine(sm):
     layout = {name: i for i, name in enumerate(b.names)}
     cfg = b.finalize()
     return CompiledNetwork(cfg=cfg, layout=layout, machine=sm,
-                           program=program, guard_cells=guards)
+                           program=program)
 
 
 # --------------------------------------------------------------------------

@@ -80,6 +80,9 @@ def test_compile_rejects_bad_input(tmp_path):
     missing = str(tmp_path / "nowhere.json")
     assert main(["compile", missing, "--out", out]) == 2
 
+    listed = write_json(tmp_path / "list.json", [1, 2])
+    assert main(["compile", listed, "--out", out]) == 2
+
 
 # ---------------------------------------------------------------- verify
 
@@ -143,6 +146,25 @@ def test_verify_rejects_bad_flags_and_corpora(tmp_path, parity_files):
     sp = write_json(tmp_path / "snn.json",
                     majority3_snn(two_thirds_stream()).to_json())
     assert main(["verify", mp, sp, "--corpus", cp]) == 2
+
+    listed = write_json(tmp_path / "list.json", [1, 2])
+    assert main(["verify", listed, np, "--corpus", cp]) == 2
+    assert main(["verify", mp, listed, "--corpus", cp]) == 2
+
+
+def test_verify_rejects_malformed_analog_files(tmp_path, capsys):
+    m = advice_eater_tma()
+    d = ann_from_tma(m, eater_stream(8)).to_json()
+    ap = write_json(tmp_path / "eater.ann", d)
+    cp = write_corpus(tmp_path / "c.txt", ["", "1"])
+    bare = write_json(tmp_path / "bare.tma", {"type": "tma"})
+    assert main(["verify", bare, ap, "--corpus", cp]) == 2
+    assert "malformed machine spec: 'trans'" in capsys.readouterr().err
+
+    mp = write_json(tmp_path / "eater.tma", m.to_json())
+    bad = write_json(tmp_path / "bad.ann", {**d, "bias_stream": [1]})
+    assert main(["verify", mp, bad, "--corpus", cp]) == 2
+    assert "malformed network spec" in capsys.readouterr().err
 
 
 def test_verify_records_rerun_byte_identical(tmp_path, parity_files):
@@ -224,6 +246,11 @@ def test_stochastic_suite_usage_errors(tmp_path, suite_files):
     assert main(["stochastic-suite", pp, pp, "--trials", "5"]) == 2
     bad = write_json(tmp_path / "bad.json", {"type": "tm"})
     assert main(["stochastic-suite", sp, bad, "--trials", "5"]) == 2
+    bare = write_json(tmp_path / "bare.snn", {"type": "snn"})
+    assert main(["stochastic-suite", bare, pp, "--trials", "5"]) == 2
+    listed = write_json(tmp_path / "list.json", [1, 2])
+    assert main(["stochastic-suite", listed, pp, "--trials", "5"]) == 2
+    assert main(["stochastic-suite", sp, listed, "--trials", "5"]) == 2
 
 
 def test_stochastic_suite_accepts_fixed_ptm(tmp_path, suite_files):

@@ -12,16 +12,17 @@ error type and message.
 """
 
 import itertools
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactrnn import augmented as aug
 from exactrnn.compiler import compile_machine
-from exactrnn.errors import ProtocolViolation, UndefinedThreshold
+from exactrnn.errors import PrecisionExhausted, ProtocolViolation, UndefinedThreshold
 from exactrnn.machines import stack_run, tm_to_stack
 from exactrnn.network import Decision, NetworkState, RnnConfig, input_at, step, theta
-from exactrnn.words import ZERO, as_rat, delta4, sigma, trunc_frac
+from exactrnn.words import BitStream, ZERO, Rat, as_rat, delta4, sigma, trunc_frac
 from exactrnn.zoo import (
     dyck_sm, first_coin_snn, majority3_snn, parity_tm, stream_compare_tma,
     three_quarters_stream, two_thirds_stream,
@@ -93,16 +94,122 @@ def fraction_truncated_loop(cfg, w, steps, q, x2=None):
 
 def outcome(fn):
     """("ok", value) or (error name, message) for the errors a garbled
-    network raises."""
+    network or an unsettled analog bias raises."""
     try:
         return "ok", fn()
-    except (UndefinedThreshold, ProtocolViolation) as exc:
+    except (UndefinedThreshold, ProtocolViolation, PrecisionExhausted) as exc:
         return type(exc).__name__, str(exc)
 
 
 def decision(fn):
     tag, val = outcome(fn)
     return (tag, (val.kind, val.tau)) if tag == "ok" else (tag, val)
+
+
+class _FractionUnresolved(Exception):
+    pass
+
+
+def fraction_pin(lo, hi):
+    if hi <= 0:
+        return 0
+    if lo >= 1:
+        return 1
+    if lo > 0 and hi < 1:
+        raise UndefinedThreshold(f"output interval [{lo}, {hi}] inside (0,1)")
+    raise _FractionUnresolved
+
+
+def fraction_interval_step(cfg, h, x, bias_cell, bias_iv):
+    """Interval image of one step; the sums run over the integer weight
+    numerators and are scaled by the common denominator at the end."""
+    lo_c, hi_c = {}, {}
+
+    def feed(i, w, lo, hi):
+        if w > 0:
+            lo_c[i] = lo_c.get(i, ZERO) + w * lo
+            hi_c[i] = hi_c.get(i, ZERO) + w * hi
+        else:
+            lo_c[i] = lo_c.get(i, ZERO) + w * hi
+            hi_c[i] = hi_c.get(i, ZERO) + w * lo
+
+    for c in range(cfg.n_in):
+        if x[c]:
+            for i, w in cfg._in_cols[c]:
+                feed(i, w, x[c], x[c])
+    for j, iv in h.items():
+        col = cfg._res_by_col.get(j)
+        if col:
+            for i, w in col:
+                feed(i, w, iv[0], iv[1])
+    live = set(hi_c)
+    live.update(cfg._pos_bias)
+    live.add(bias_cell)
+    d = cfg._den
+    h1 = {}
+    for i in live:
+        b = cfg._bias_map.get(i, 0)
+        lo = (lo_c.get(i, ZERO) + b) / d
+        hi = (hi_c.get(i, ZERO) + b) / d
+        if i == bias_cell:
+            lo, hi = lo + bias_iv[0], hi + bias_iv[1]
+        lo, hi = sigma(lo), sigma(hi)
+        if hi > 0:
+            h1[i] = (lo, hi)
+    return h1
+
+
+def fraction_interval_readout(cfg, h):
+    vals = []
+    for row in cfg._out_rows:
+        lo = hi = ZERO
+        for j, w in row:
+            iv = h.get(j)
+            if iv is None:
+                continue
+            if w > 0:
+                lo += w * iv[0]
+                hi += w * iv[1]
+            else:
+                lo += w * iv[1]
+                hi += w * iv[0]
+        vals.append((lo / cfg._den, hi / cfg._den))
+    return vals
+
+
+def fraction_interval_run(cfg, bias_cell, bias_iv, w, max_steps):
+    h = {i: (v, v) for i, v in enumerate(cfg.h0) if v}
+    for t in range(max_steps):
+        x = input_at(w, t, cfg.n_in)
+        h = fraction_interval_step(cfg, h, x, bias_cell, bias_iv)
+        (y0l, y0h), (y1l, y1h) = fraction_interval_readout(cfg, h)
+        y1 = fraction_pin(y1l, y1h)
+        y0 = fraction_pin(y0l, y0h)
+        if y1 == 1:
+            return Decision("accept" if y0 == 1 else "reject", tau=t + 1)
+        if y0 != 0:
+            raise ProtocolViolation(
+                f"output bit fired without validation at t={t + 1}")
+    return Decision("timeout")
+
+
+def fraction_bias_iv(prefix):
+    bits = len(prefix)
+    base = delta4(prefix)
+    return (base + as_rat(1) / 3 / 4 ** bits, base + as_rat(1) / 4 ** bits)
+
+
+def fraction_ann_run(a, w, max_steps, start_bits=None, max_bits=1 << 16):
+    if max_steps < len(w):
+        raise ValueError("max_steps smaller than the input word")
+    bits = start_bits if start_bits is not None else 16
+    while bits <= max_bits:
+        iv = fraction_bias_iv(a.bias_stream.prefix(bits))
+        try:
+            return fraction_interval_run(a.base, a.bias_cell, iv, w, max_steps)
+        except _FractionUnresolved:
+            bits *= 2
+    raise PrecisionExhausted(f"still unresolved at {max_bits} bias digits")
 
 
 # ------------------------------------------------------------- drivers
@@ -271,3 +378,107 @@ def test_state_keeps_live_cells_over_one_denominator():
     cut = s.truncated(2)
     assert (cut.den, cut.nums, cut.h) == (4, {2: 3, 3: 4}, (0, 0, R(3) / 4, 1))
     assert NetworkState(0, h).truncated(4).h == tuple(trunc_frac(v, 4) for v in h)
+
+
+# -------------------------------------------------------- interval runs
+
+
+def assert_interval_steps_agree(a, w, steps, bits):
+    """Step the integer and the Fraction interval runners side by side at
+    one bias precision, comparing every interval end; the integer state
+    must stay in lowest terms."""
+    cfg, cell = a.base, a.bias_cell
+    prefix = a.bias_stream.prefix(bits)
+    bias, iv = aug._bias_interval(prefix), fraction_bias_iv(prefix)
+    assert (Rat(bias[0], bias[2]), Rat(bias[1], bias[2])) == iv
+    den, lo, hi = cfg._start.den, cfg._start.nums, cfg._start.nums
+    h = {i: (v, v) for i, v in enumerate(cfg.h0) if v}
+    for t in range(steps):
+        x = input_at(w, t, cfg.n_in)
+        den, lo, hi = aug._interval_step(cfg, den, lo, hi, x, cell, bias)
+        h = fraction_interval_step(cfg, h, x, cell, iv)
+        assert lo.keys() == hi.keys()
+        assert {i: (Rat(lo[i], den), Rat(hi[i], den)) for i in hi} == h
+        assert math.gcd(den, *lo.values(), *hi.values()) == 1
+
+
+def ann_decisions_agree(a, w, steps, **bits):
+    got = decision(lambda: aug.ann_run(a, w, steps, **bits))
+    assert got == decision(lambda: fraction_ann_run(a, w, steps, **bits))
+    return got
+
+
+def test_ann_run_matches_reference_on_the_stream_compare_net():
+    a = aug.ann_from_tma(stream_compare_tma(), two_thirds_stream())
+    kinds = set()
+    for w in WORDS:
+        for steps in (40 * len(w) + 60, 10_000):
+            tag, (kind, _tau) = ann_decisions_agree(a, w, steps)
+            assert tag == "ok"
+            kinds.add(kind)
+    assert kinds == {"accept", "reject"}
+    assert ann_decisions_agree(a, "10", 30) == ("ok", ("timeout", None))
+    assert ann_decisions_agree(a, "101", 200, start_bits=1)[0] == "ok"
+    assert_interval_steps_agree(a, "10", 140, 16)
+    assert_interval_steps_agree(a, "1", 80, 2)
+
+
+def analog_test_nets():
+    """(network, bias stream) pairs; cell 1 reads the bias r at step 2.
+
+    With r = 5/6 (stream 1000...), 6r - 9/2 sits on 1/2, which no
+    precision can threshold, and 6r - 5 sits on 0, which every finite
+    prefix leaves unresolved.  With r = 1/2 (stream 0111...), so does
+    1 - 2r, read through a negative weight (the 1 from cell 2, so that
+    cell 1 is 0 at step 1).  The last net's bias exceeds 5/6 only from
+    digit 41 on, so it resolves after doubling to 64 digits."""
+    five_sixths = BitStream.from_word("1")
+    half = BitStream.from_word("0", tail_bit=1)
+    late = BitStream.from_word("1" + "0" * 39 + "1")
+
+    def net(w_in, w_res, out=1):
+        return RnnConfig(k=3, w_in=w_in, w_res=w_res,
+                         w_out={(0, 1): out, (1, 1): out})
+
+    return [
+        (net({(1, 2): R("-9/2")}, {(1, 0): 6}), five_sixths),
+        (net({(1, 2): -5}, {(1, 0): 6}), five_sixths),
+        (net({(2, 2): 1}, {(1, 0): -2, (1, 2): 1}), half),
+        (net({(1, 2): -5}, {(1, 0): 6}, 4 ** 45), late),
+    ]
+
+
+def test_ann_run_matches_reference_when_doubling_and_exhausting():
+    seen = set()
+    for base, stream in analog_test_nets():
+        a = aug.AnnSpec(base=base, bias_stream=stream)
+        for start, cap in ((1, 1), (1, 8), (3, 40), (16, 256), (5, 4), (64, 64)):
+            seen.add(ann_decisions_agree(a, "", 4, start_bits=start,
+                                         max_bits=cap)[0])
+        assert_interval_steps_agree(a, "", 4, 64)
+    assert seen == {"ok", "UndefinedThreshold", "PrecisionExhausted"}
+
+
+bias_streams = st.one_of(
+    st.builds(BitStream.from_word, st.text("01", max_size=6), st.integers(0, 1)),
+    st.builds(BitStream.from_periodic, st.text("01", max_size=3),
+              st.text("01", min_size=1, max_size=3)),
+    st.builds(BitStream.from_rational, unit),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_configs(), st.data())
+def test_ann_run_matches_reference_on_random_rational_configs(cfg, data):
+    cell = data.draw(st.integers(0, cfg.k - 1))
+    base = RnnConfig(k=cfg.k, w_res=cfg.w_res, w_out=cfg.w_out, h0=cfg.h0,
+                     n_in=cfg.n_in, w_in={key: v for key, v in cfg.w_in.items()
+                                          if key != (cell, cfg.n_in)})
+    a = aug.AnnSpec(base=base, bias_stream=data.draw(bias_streams),
+                    bias_cell=cell)
+    w = data.draw(st.text("01", max_size=3))
+    start = data.draw(st.integers(1, 6))
+    cap = data.draw(st.sampled_from((start, 4 * start, 32)))
+    steps = len(w) + 4
+    ann_decisions_agree(a, w, steps, start_bits=start, max_bits=cap)
+    assert_interval_steps_agree(a, w, steps, start)

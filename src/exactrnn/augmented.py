@@ -36,9 +36,10 @@ from .errors import (
     PreconditionViolated, ProtocolViolation, Timeout, UndefinedThreshold,
 )
 from .machines import (
-    BLANK, Row, StackMachineSpec, TERMINALS, bpp_decide, ptm_run_with_choices,
+    BLANK, Row, StackMachineSpec, TERMINALS, bpp_decide, loader_rows,
+    main_rule_rows, ptm_run_with_choices,
 )
-from .network import Decision, RnnConfig, input_at, step
+from .network import Decision, RnnConfig, check_protocol, drive, run_word, step
 from .words import BitStream, Rat, ZERO, as_rat, delta4, trunc_frac
 
 
@@ -142,14 +143,13 @@ class SnnSpec:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
+    """Weights and activations cut toward zero to q fractional bits."""
+
     q: int
-    mode: str = "toward-zero"
 
     def __post_init__(self):
         if self.q < 1:
             raise ValueError("precision must be at least one bit")
-        if self.mode != "toward-zero":
-            raise ValueError(f"unsupported truncation mode {self.mode!r}")
 
 
 def delta4_stream_value(stream):
@@ -305,19 +305,18 @@ def _interval_readout(cfg, den, lo, hi):
     return _pin(*sums[0], one), y1
 
 
+def _interval_advance(ctx, state, x):
+    """drive's one-step semantics for interval states."""
+    cfg, bias_cell, bias = ctx
+    state = _interval_step(cfg, *state, x, bias_cell, bias)
+    return state, _interval_readout(cfg, *state)
+
+
 def _interval_run(cfg, bias_cell, bias, w, max_steps):
+    """Protocol run over the interval state (den, lo, hi) from h0."""
     start = cfg._start
-    den, lo, hi = start.den, start.nums, start.nums
-    for t in range(max_steps):
-        den, lo, hi = _interval_step(cfg, den, lo, hi,
-                                     input_at(w, t, cfg.n_in), bias_cell, bias)
-        y0, y1 = _interval_readout(cfg, den, lo, hi)
-        if y1 == 1:
-            return Decision("accept" if y0 == 1 else "reject", tau=t + 1)
-        if y0 != 0:
-            raise ProtocolViolation(
-                f"output bit fired without validation at t={t + 1}")
-    return Decision("timeout")
+    return drive(_interval_advance, (cfg, bias_cell, bias),
+                 (start.den, start.nums, start.nums), w, max_steps, cfg.n_in)
 
 
 def ann_run(a, w, max_steps, start_bits=None, max_bits=1 << 16):
@@ -326,17 +325,19 @@ def ann_run(a, w, max_steps, start_bits=None, max_bits=1 << 16):
     The bias is known only through digit prefixes.  With B digits it is
     confined to [enc(prefix) + 4^-B/3, enc(prefix) + 4^-B]; the run
     proceeds in interval arithmetic, and any threshold the interval
-    cannot yet decide doubles B and retries.  A comparison no precision
-    can settle raises UndefinedThreshold; hitting max_bits raises
+    cannot yet decide doubles B and retries, from B = start_bits
+    (default 16, at least 1).  A comparison no precision can settle
+    raises UndefinedThreshold; hitting max_bits raises
     PrecisionExhausted.
 
     The state is two maps of live cells, the lower and the upper
     numerators, over one shared integer denominator that a single gcd
     per step keeps in lowest terms; thresholds are integer comparisons.
     """
-    if max_steps < len(w):
-        raise ValueError("max_steps smaller than the input word")
+    check_protocol(w, max_steps)
     bits = start_bits if start_bits is not None else 16
+    if bits < 1:
+        raise ValueError("start_bits must be at least 1")
     while bits <= max_bits:
         bias = _bias_interval(a.bias_stream.prefix(bits))
         try:
@@ -372,7 +373,6 @@ def _lift_evolving(cfg):
 
 def enn_run(e, w, max_steps, want_trace=False):
     """Exact protocol run: the evolving bit of step t enters cell 0."""
-    from .network import run_word
     lifted = _lift_evolving(e.base)
     return run_word(lifted, w, max_steps, want_trace=want_trace,
                     x2=e.evolving_bias.bit)
@@ -407,26 +407,24 @@ def truncate_config(cfg, q):
         n_in=cfg.n_in, cell_names=cfg.cell_names))
 
 
+def _truncated_advance(ctx, state, x):
+    """One exact step, then the state cut back to q bits and read out
+    again if the cut changed it.  step still reads out the uncut state,
+    so a garbled output line raises as it would in the exact run."""
+    tcfg, q = ctx
+    state, y = step(tcfg, state, x)
+    cut = state.truncated(q)
+    if cut is state:
+        return state, y
+    return cut, tcfg.readout(cut)
+
+
 def _truncated_loop(cfg, w, steps, q, x2=None):
     """Protocol run of the q-bit truncation of cfg, its state cut back
-    to q bits after every step.  step still reads out the uncut state,
-    so a garbled output line raises as it would in the exact run."""
-    if steps < len(w):
-        raise ValueError("steps smaller than the input word")
+    to q bits after every step."""
     tcfg = truncate_config(cfg, q)
-    state = tcfg._start
-    for t in range(steps):
-        state, y = step(tcfg, state, input_at(w, t, tcfg.n_in, x2))
-        cut = state.truncated(q)
-        if cut is not state:
-            state = cut
-            y = tcfg.readout(state)
-        if y[1] == 1:
-            return Decision("accept" if y[0] == 1 else "reject", tau=state.t)
-        if y[0] != 0:
-            raise ProtocolViolation(
-                f"output bit fired without validation at t={state.t}")
-    return Decision("timeout")
+    return drive(_truncated_advance, (tcfg, q), tcfg._start, w, steps,
+                 tcfg.n_in, x2)
 
 
 def truncate_run(spec, policy, w, steps, x2=None):
@@ -474,7 +472,6 @@ class CalibrationResult:
 
 def exact_run(spec, w, steps):
     """Reference run for any network flavor, used as calibration truth."""
-    from .network import run_word
     if isinstance(spec, AnnSpec):
         return ann_run(spec, w, steps)
     if isinstance(spec, EnnSpec):
@@ -517,9 +514,6 @@ def calibrate_c(spec, corpus, f, c_max=64):
 # advice machine -> stack program, analog flavor and replay flavor
 
 
-_MAIN_OBS = {"0": {"R": "0"}, "1": {"R": "1"}, BLANK: {"R": "e"}}
-
-
 def _check_main_rule(q, a, wr, mv):
     if wr == BLANK and not (a == BLANK and mv in ("L", "S")):
         raise PreconditionViolated(
@@ -543,23 +537,6 @@ def _expand_advice(m):
             for b in ("0", "1", BLANK):
                 table.setdefault((q, a, b), rule)
     return table, explicit
-
-
-def _loader_rows(first_state, tap=None):
-    def push_tap(b):
-        ops = {"L": "pop", "R": f"push{b}"}
-        if tap:
-            ops[tap] = f"push{b}"
-        return ops
-
-    return [
-        Row("load1", "0", {}, {"L": "push0"}, "load1"),
-        Row("load1", "1", {}, {"L": "push1"}, "load1"),
-        Row("load1", "end", {}, {}, "load2"),
-        Row("load2", None, {"L": "0"}, push_tap("0"), "load2"),
-        Row("load2", None, {"L": "1"}, push_tap("1"), "load2"),
-        Row("load2", None, {"L": "e"}, {}, first_state),
-    ]
 
 
 def _drain_rows(state, stack, nxt, into=None, extra=None):
@@ -617,14 +594,7 @@ def _tma_rows(m, fetch_stack, on_underflow):
                     continue        # wildcard spillover; stuck if reached
                 raise PreconditionViolated(
                     f"rule at ({q},{a},_) walks right past the advice end")
-        obs = dict(_MAIN_OBS[a])
-        obs["AR"] = "e" if adv == BLANK else adv
-        ops = {"R": "pop"}
-        if mv == "R":
-            ops["L"] = f"push{wr}"
-        if amv == "R":
-            ops["AR"] = "pop"
-            ops["AL"] = f"push{adv}"
+        aops = {"AR": "pop", "AL": f"push{adv}"} if amv == "R" else {}
         final = tgt(q2)
         if amv == "L":
             av = f"av_{i}"
@@ -633,22 +603,10 @@ def _tma_rows(m, fetch_stack, on_underflow):
             rows.append(Row(av, None, {"AL": "1"},
                             {"AL": "pop", "AR": "push1"}, final))
             final = av
-        if mv == "R":
-            rows.append(Row(f"d_{q}", None, obs, ops, final))
-        elif mv == "S":
-            mid = f"mw_{i}"
-            rows.append(Row(f"d_{q}", None, obs, ops, mid))
-            wops = {"R": f"push{wr}"} if wr != BLANK else {}
-            rows.append(Row(mid, None, {}, wops, final))
-        else:
-            mid1, mid2 = f"mu_{i}", f"mv_{i}"
-            rows.append(Row(f"d_{q}", None, obs, ops, mid1))
-            wops = {"R": f"push{wr}"} if wr != BLANK else {}
-            rows.append(Row(mid1, None, {}, wops, mid2))
-            rows.append(Row(mid2, None, {"L": "0"},
-                            {"L": "pop", "R": "push0"}, final))
-            rows.append(Row(mid2, None, {"L": "1"},
-                            {"L": "pop", "R": "push1"}, final))
+        rows += main_rule_rows(f"d_{q}", a, wr, mv, final,
+                               (f"mw_{i}", f"mu_{i}", f"mv_{i}"),
+                               obs={"AR": "e" if adv == BLANK else adv},
+                               ops=aops)
     return rows, tgt
 
 
@@ -665,7 +623,7 @@ def tma_to_stack(m):
     representable and are rejected.
     """
     rows, tgt = _tma_rows(m, "XA", on_underflow=None)
-    rows = _loader_rows(tgt(m.initial)) + rows
+    rows = loader_rows(tgt(m.initial)) + rows
     return StackMachineSpec(stacks=("L", "R", "AL", "AR", "XA"), rows=rows,
                             initial="load1")
 
@@ -684,7 +642,7 @@ def tma_to_stack_replay(m):
     the number of rounds stays logarithmic in the bits consumed.
     """
     rows, tgt = _tma_rows(m, "XAP", on_underflow="RB1")
-    rows = _loader_rows(tgt(m.initial), tap="RCOPY") + rows
+    rows = loader_rows(tgt(m.initial), tap="RCOPY") + rows
     rows += _drain_rows("RB1", "AL", "RB2")
     rows += _drain_rows("RB2", "AR", "RB3")
     rows += _drain_rows("RB3", "XAP", "RB4")
@@ -787,8 +745,7 @@ def algo1_tma_simulate_ann(a, f, c, w):
         warnings.warn("empty step budget: zero-bias truncation, "
                       "divergence from the analog run is expected")
         return Decision("timeout")
-    q = c * fn
-    return _truncated_loop(_with_prefix_bias(a, q), w, fn, q)
+    return truncate_run(a, TruncationPolicy(c * fn), w, fn)
 
 
 def algo2_tma_simulate_enn(e, f, c, w):
@@ -801,8 +758,7 @@ def algo2_tma_simulate_enn(e, f, c, w):
     if fn == 0:
         warnings.warn("empty step budget: nothing can be simulated")
         return Decision("timeout")
-    lifted = _lift_evolving(e.base)
-    return _truncated_loop(lifted, w, fn, c * fn, x2=e.evolving_bias.bit)
+    return truncate_run(e, TruncationPolicy(c * fn), w, fn)
 
 
 # ==========================================================================
@@ -876,7 +832,6 @@ def snn_run(s, w, tau, mode="exact", trials=1000, seed=0, budget=4096):
 
 
 def _run_fixed(cfg, w, tau, bits):
-    from .network import run_word
     d = run_word(cfg, w, tau, x2=bits)
     if d.kind == "timeout":
         raise Timeout(f"pattern {bits} undecided at tau={tau}")

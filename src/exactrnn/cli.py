@@ -242,12 +242,17 @@ def _verify_pair(md, nd, args):
         # The time envelope counts steps of the machine the network was
         # compiled from (embedded in the network file); the machine file
         # is only the decision oracle.
-        cfg, probe = parse_spec(args.network, "network", lambda: (
-            RnnConfig.from_json(nd["cfg"]),
-            StackMachineSpec.from_json(nd["machine"]) if "machine" in nd
-            else None))
-        cs = nd.get("constants", {})
-        c_ramp, c_step = cs.get("c_ramp", 0), cs.get("c_step", 1)
+        def parse():
+            cfg = RnnConfig.from_json(nd["cfg"])
+            probe = (StackMachineSpec.from_json(nd["machine"])
+                     if "machine" in nd else None)
+            cs = nd.get("constants", {})
+            c_ramp, c_step = cs.get("c_ramp", 0), cs.get("c_step", 1)
+            if not (isinstance(c_ramp, int) and isinstance(c_step, int)):
+                raise TypeError("c_ramp and c_step must be integers")
+            return cfg, probe, c_ramp, c_step
+
+        cfg, probe, c_ramp, c_step = parse_spec(args.network, "network", parse)
 
         def pair(w):
             try:
@@ -271,6 +276,8 @@ def _verify_pair(md, nd, args):
 
 
 def cmd_verify(args, rec):
+    if args.precision_bits is not None and args.precision_bits < 1:
+        raise UsageError("--precision-bits must be at least 1")
     md = load_json(args.machine)
     nd = load_json(args.network)
     words = load_corpus(args.corpus)

@@ -451,35 +451,57 @@ def tm_to_stack(m):
     def tgt(q):
         return q if q in TERMINALS else f"m_{q}"
 
-    rows = [
-        Row("load1", "0", {}, {"L": "push0"}, "load1"),
-        Row("load1", "1", {}, {"L": "push1"}, "load1"),
-        Row("load1", "end", {}, {}, "load2"),
-        Row("load2", None, {"L": "0"}, {"L": "pop", "R": "push0"}, "load2"),
-        Row("load2", None, {"L": "1"}, {"L": "pop", "R": "push1"}, "load2"),
-        Row("load2", None, {"L": "e"}, {}, tgt(m.initial)),
-    ]
-    obs_of = {"0": {"R": "0"}, "1": {"R": "1"}, BLANK: {"R": "e"}}
+    rows = loader_rows(tgt(m.initial))
     for (q, a), (b, mv, q2) in sorted(m.trans.items()):
-        obs = obs_of[a]
-        if mv == "R":
-            rows.append(Row(f"m_{q}", None, obs,
-                            {"R": "pop", "L": f"push{b}"}, tgt(q2)))
-        elif mv == "S":
-            mid = f"w_{q}_{a}"
-            rows.append(Row(f"m_{q}", None, obs, {"R": "pop"}, mid))
-            ops = {"R": f"push{b}"} if b != BLANK else {}
-            rows.append(Row(mid, None, {}, ops, tgt(q2)))
-        else:
-            mid1, mid2 = f"u_{q}_{a}", f"v_{q}_{a}"
-            rows.append(Row(f"m_{q}", None, obs, {"R": "pop"}, mid1))
-            ops = {"R": f"push{b}"} if b != BLANK else {}
-            rows.append(Row(mid1, None, {}, ops, mid2))
-            rows.append(Row(mid2, None, {"L": "0"},
-                            {"L": "pop", "R": "push0"}, tgt(q2)))
-            rows.append(Row(mid2, None, {"L": "1"},
-                            {"L": "pop", "R": "push1"}, tgt(q2)))
+        rows += main_rule_rows(f"m_{q}", a, b, mv, tgt(q2),
+                               (f"w_{q}_{a}", f"u_{q}_{a}", f"v_{q}_{a}"))
     return StackMachineSpec(stacks=("L", "R"), rows=rows, initial="load1")
+
+
+def loader_rows(first_state, tap=None):
+    """Rows that load the input word onto the main tape R, first symbol
+    on top, by way of L: 2n+2 steps, then first_state.  tap names a
+    further stack that receives a copy of every loaded bit."""
+    def push_tap(b):
+        ops = {"L": "pop", "R": f"push{b}"}
+        if tap:
+            ops[tap] = f"push{b}"
+        return ops
+
+    rows = [Row("load1", read, {}, ops, nxt) for read, ops, nxt in (
+        ("0", {"L": "push0"}, "load1"),
+        ("1", {"L": "push1"}, "load1"),
+        ("end", {}, "load2"))]
+    return rows + [Row("load2", None, {"L": top}, ops, nxt) for top, ops, nxt in (
+        ("0", push_tap("0"), "load2"),
+        ("1", push_tap("1"), "load2"),
+        ("e", {}, first_state))]
+
+
+_MAIN_OBS = {"0": {"R": "0"}, "1": {"R": "1"}, BLANK: {"R": "e"}}
+
+
+def main_rule_rows(state, read, write, move, nxt, mids, obs=None, ops=None):
+    """Rows of one main-tape rule over L (left of the head) and R (head
+    cell on top): pop R in state when R's top is read and obs hold, with
+    the further ops, then push write onto L for a right move, write back
+    onto R for a stay (via mids[0]), or write back and move L's top over
+    to R for a left move (via mids[1], mids[2])."""
+    first = {"R": "pop"}
+    if move == "R":
+        first["L"] = f"push{write}"
+    first.update(ops or {})
+    obs = {**_MAIN_OBS[read], **(obs or {})}
+    if move == "R":
+        return [Row(state, None, obs, first, nxt)]
+    back = {"R": f"push{write}"} if write != BLANK else {}
+    if move == "S":
+        return [Row(state, None, obs, first, mids[0]),
+                Row(mids[0], None, {}, back, nxt)]
+    return [Row(state, None, obs, first, mids[1]),
+            Row(mids[1], None, {}, back, mids[2]),
+            Row(mids[2], None, {"L": "0"}, {"L": "pop", "R": "push0"}, nxt),
+            Row(mids[2], None, {"L": "1"}, {"L": "pop", "R": "push1"}, nxt)]
 
 
 # --------------------------------------------------------------------------

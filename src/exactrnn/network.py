@@ -17,7 +17,9 @@ single gcd.
 Word I/O protocol: bit i of the word arrives as x_0 = w_i with
 validation x_1 = 1, input then goes silent (0,0).  The network answers
 with a single spike y_1 = 1 whose companion bit y_0 carries
-accept/reject; output must be (0,0) strictly before that.
+accept/reject; output must be (0,0) strictly before that.  ``drive``
+runs that protocol over any one-step semantics: the exact ``step`` of
+``run_word`` and the truncated and interval steps of ``augmented``.
 """
 
 import math
@@ -287,27 +289,37 @@ def input_at(w, t, n_in, x2=None):
     return base
 
 
-def run_word(cfg, w, max_steps, want_trace=False, x2=None):
-    """Drive the word protocol and classify the run.
-
-    Feeds w under the validation protocol, then silence, for at most
-    max_steps network steps.  Returns a Decision; stray output before
-    the spike raises ProtocolViolation.  x2 (sequence or callable) is
-    consulted for the stochastic line of three-input networks.
-    """
+def check_protocol(w, max_steps):
+    """Reject a non-bit word, or a step budget shorter than the word."""
     check_bitword(w)
     if max_steps < len(w):
         raise ValueError("max_steps smaller than the input word")
-    state = cfg._start
-    trace = [] if want_trace else None
+
+
+def drive(advance, ctx, state, w, max_steps, n_in, x2=None, trace=None):
+    """Run the word protocol over advance(ctx, state, x) -> (state, y).
+
+    Feeds w with validation, then silence, for at most max_steps steps
+    and returns a Decision; stray output before the spike raises
+    ProtocolViolation.  x2 (sequence or callable) feeds the stochastic
+    line when n_in is 3; a trace list receives (t, state.h, y).
+    """
+    check_protocol(w, max_steps)
     for t in range(max_steps):
-        state, y = step(cfg, state, input_at(w, t, cfg.n_in, x2))
-        if want_trace:
-            trace.append((state.t, state.h, y))
+        state, y = advance(ctx, state, input_at(w, t, n_in, x2))
+        if trace is not None:
+            trace.append((t + 1, state.h, y))
         if y[1] == 1:
             kind = "accept" if y[0] == 1 else "reject"
-            return Decision(kind, tau=state.t, trace=trace)
+            return Decision(kind, tau=t + 1, trace=trace)
         if y[0] != 0:
             raise ProtocolViolation(
-                f"output bit fired without validation at t={state.t}")
+                f"output bit fired without validation at t={t + 1}")
     return Decision("timeout", trace=trace)
+
+
+def run_word(cfg, w, max_steps, want_trace=False, x2=None):
+    """Exact protocol run of cfg on w (see drive); the Decision holds
+    the trace [(t, h, y), ...] when want_trace is set."""
+    return drive(step, cfg, cfg._start, w, max_steps, cfg.n_in, x2,
+                 [] if want_trace else None)

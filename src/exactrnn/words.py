@@ -12,45 +12,37 @@ exact rationals produced here.  Two encoders are exposed:
   with the saturation ``sigma``, which is what lets a stack live inside
   a single network cell.
 
-Rationals are gmpy2.mpq when available, with fractions.Fraction as a
-pure-python fallback.  The network hot path does not use them: it
-runs on Python ints (integer numerators over a common denominator, see
-``network``), so the choice matters only off that path.
+Rationals are ``fractions.Fraction`` (exported as ``Rat``).  The
+network hot path does not use them: it runs on Python ints (integer
+numerators over a common denominator, see ``network``), so Fraction
+arithmetic is confined to encoding, weights and results off that path.
 """
 
-import fractions
 import itertools
 import random
-
-try:
-    from gmpy2 import mpq as _ratclass
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as _ratclass
+from fractions import Fraction as Rat
 
 from .errors import NotInImage
-
-Rat = _ratclass
 
 
 def as_rat(x):
     """Coerce x to an exact rational.
 
-    Accepts ints, rational strings like "253/256", Fractions, and
-    rationals themselves.  Floats are rejected: silently converting
-    0.1 to 3602879701896397/36028797018963968 is never what a caller
-    wants in an exactness-first package.
+    Accepts ints, rational strings like "253/256", Fractions, and any
+    other object exposing numerator and denominator.  Floats are
+    rejected: silently converting 0.1 to
+    3602879701896397/36028797018963968 is never what a caller wants in
+    an exactness-first package.
     """
     if isinstance(x, float):
         raise TypeError("floats are not exact; pass a string or Fraction")
-    if isinstance(x, _ratclass):
+    if isinstance(x, Rat):
         return x
     if isinstance(x, (int, str)):
-        return _ratclass(x)
-    if isinstance(x, fractions.Fraction):
-        return _ratclass(x.numerator) / x.denominator
+        return Rat(x)
     # last resort: objects exposing numerator/denominator
     try:
-        return _ratclass(x.numerator) / _ratclass(x.denominator)
+        return Rat(x.numerator) / Rat(x.denominator)
     except AttributeError:
         raise TypeError(f"cannot interpret {type(x).__name__} as a rational")
 
@@ -99,7 +91,7 @@ def binary_value(w):
     check_bitword(w)
     if not w:
         return ZERO
-    return _ratclass(int(w, 2)) / 2 ** len(w)
+    return Rat(int(w, 2)) / 2 ** len(w)
 
 
 def delta2(w):
@@ -128,7 +120,7 @@ def delta4(w):
     check_bitword(w)
     if not w:
         return ZERO
-    return _ratclass(int(w.translate(_DELTA4_DIGITS), 4)) / 4 ** len(w)
+    return Rat(int(w.translate(_DELTA4_DIGITS), 4)) / 4 ** len(w)
 
 
 def _decode_step(r):
@@ -231,7 +223,7 @@ def trunc_frac(q, bits):
     whole = abs(n) // d
     if n < 0:
         whole = -whole
-    return _ratclass(whole) / 2 ** bits
+    return Rat(whole) / 2 ** bits
 
 
 # --------------------------------------------------------------------------
@@ -279,7 +271,7 @@ class BitStream:
             raise ValueError("tail_bit must be 0 or 1")
         val = binary_value(w)
         if tail_bit:
-            val += _ratclass(1) / 2 ** len(w)
+            val += Rat(1) / 2 ** len(w)
         fn = lambda i, _w=w, _t=tail_bit: int(_w[i]) if i < len(_w) else _t
         return cls(fn, value=val, spec={"kind": "word", "word": w, "tail": tail_bit})
 
@@ -290,7 +282,7 @@ class BitStream:
         check_bitword(cycle)
         if not cycle:
             raise ValueError("cycle must be nonempty; use from_word for finite tails")
-        cval = _ratclass(int(cycle, 2)) / (2 ** len(cycle) - 1)
+        cval = Rat(int(cycle, 2)) / (2 ** len(cycle) - 1)
         val = binary_value(head) + cval / 2 ** len(head)
 
         def fn(i, _h=head, _c=cycle):

@@ -125,8 +125,6 @@ def test_ceil_log2():
 def test_truncation_policy_validation():
     with pytest.raises(ValueError):
         TruncationPolicy(0)
-    with pytest.raises(ValueError):
-        TruncationPolicy(4, mode="round-nearest")
 
 
 def test_truncate_config_cuts_toward_zero():
@@ -209,6 +207,34 @@ def test_interval_runner_exhausts_on_boundary_chasing():
     a = AnnSpec(base=base, bias_stream=BitStream.from_word("1"))
     with pytest.raises(PrecisionExhausted):
         ann_run(a, "", 4, start_bits=16, max_bits=256)
+
+
+def test_analog_run_rejects_a_bias_precision_below_one_digit():
+    # the bias cell feeds nothing, so the first attempt decides at any
+    # precision; no attempt at all is made below one digit
+    base = RnnConfig(k=2, w_in={(1, 2): 1}, w_res={}, w_out={(1, 1): 1})
+    a = AnnSpec(base=base, bias_stream=BitStream.from_word("1"))
+    assert ann_run(a, "", 4, start_bits=1).kind == "reject"
+    for bits in (0, -3):
+        with pytest.raises(ValueError, match="start_bits"):
+            ann_run(a, "", 4, start_bits=bits)
+
+
+def _algo3_on(w):
+    return algo3_ptma_simulate_snn(majority3_snn(two_thirds_stream()),
+                                   lambda n: 4, w, seed=0)
+
+
+@pytest.mark.parametrize("run", [
+    lambda w: ann_run(ann_from_tma(*cmp_pair()), w, 200),
+    lambda w: truncate_run(ann_from_tma(*cmp_pair()), TruncationPolicy(8), w, 100),
+    lambda w: algo1_tma_simulate_ann(ann_from_tma(*cmp_pair()), lambda n: 60, 1, w),
+    lambda w: algo2_tma_simulate_enn(enn_from_tma(*cmp_pair()), lambda n: 60, 1, w),
+    _algo3_on,
+], ids=["ann_run", "truncate_run", "algo1", "algo2", "algo3"])
+def test_every_run_path_rejects_a_non_bit_word(run):
+    with pytest.raises(ValueError, match="not a bit word"):
+        run("2")
 
 
 def test_machine_simulation_of_analog_net_is_exact():

@@ -151,6 +151,17 @@ def test_verify_rejects_bad_flags_and_corpora(tmp_path, parity_files):
     assert main(["verify", listed, np, "--corpus", cp]) == 2
     assert main(["verify", mp, listed, "--corpus", cp]) == 2
 
+    nd = json.loads(open(np).read())
+    for constants in ([1, 2], {"c_ramp": "5", "c_step": 6}):
+        odd = write_json(tmp_path / "odd.rnn", {**nd, "constants": constants})
+        assert main(["verify", mp, odd, "--corpus", cp]) == 2
+
+    # checked before an empty corpus short-cuts the run
+    empty = write_corpus(tmp_path / "empty.txt", [])
+    for bits in ("0", "-1"):
+        assert main(["verify", mp, np, "--corpus", empty,
+                     "--precision-bits", bits]) == 2
+
 
 def test_verify_rejects_malformed_analog_files(tmp_path, capsys):
     m = advice_eater_tma()

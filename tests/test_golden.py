@@ -1,0 +1,40 @@
+"""Golden bytes: the canonical JSON of compiled networks and stack programs.
+
+Every other test compares behaviour, so a renamed micro-state or a
+reordered row would pass them all and still change what ``compile``
+writes.  These hashes pin the bytes; a change to any of them is a
+change to the file formats users keep.
+"""
+
+import pytest
+
+from exactrnn.augmented import ann_from_tma, enn_from_tma, tma_to_stack, tma_to_stack_replay
+from exactrnn.cli import config_hash
+from exactrnn.compiler import compile_machine
+from exactrnn.machines import tm_to_stack
+from exactrnn.zoo import (
+    advice_eater_tma, dyck_sm, eater_stream, parity_tm, stream_compare_tma,
+    two_thirds_stream,
+)
+
+GOLDEN = [
+    ("compiled-parity", lambda: compile_machine(tm_to_stack(parity_tm())),
+     "7d72efaa81c221d8"),
+    ("compiled-dyck", lambda: compile_machine(dyck_sm()), "7a7ae1c632f54ad7"),
+    ("parity-stack", lambda: tm_to_stack(parity_tm()), "e5e6acde83f909da"),
+    ("stream-compare-stack", lambda: tma_to_stack(stream_compare_tma()),
+     "cf591a75ea19d852"),
+    ("advice-eater-replay", lambda: tma_to_stack_replay(advice_eater_tma()),
+     "628d0915995c2c66"),
+    ("stream-compare-ann",
+     lambda: ann_from_tma(stream_compare_tma(), two_thirds_stream()),
+     "cf1a7e7601526263"),
+    ("advice-eater-enn", lambda: enn_from_tma(advice_eater_tma(), eater_stream(8)),
+     "5f7d94c005d87ea8"),
+]
+
+
+@pytest.mark.parametrize("build, digest", [g[1:] for g in GOLDEN],
+                         ids=[g[0] for g in GOLDEN])
+def test_serialized_bytes_are_pinned(build, digest):
+    assert config_hash(build().to_json()) == digest

@@ -410,6 +410,8 @@ def _random_word(rng, length):
 
 
 def cmd_kolmogorov(args, rec):
+    if args.n_max < 0:
+        raise UsageError("--n-max must be a non-negative length")
     g = BOUNDS[args.g]()
     rng = random.Random(args.seed)
     rec.emit(record="header", command="kolmogorov", seed=args.seed,

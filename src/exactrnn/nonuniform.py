@@ -9,6 +9,10 @@ raw material, bit strings indexed by input length:
 * ``interleave``/``recover_prefix`` pad a stream with separator zeros
   at schedule-determined positions, so that a short prefix of the raw
   stream always suffices to rebuild a long prefix of the padded one.
+  They, and ``interleave_decompressor``, take the separator schedule
+  as a ``BoundFunction`` and read it through that instance's table, so
+  each schedule value is evaluated once however many lengths and seeds
+  are checked; blocks move as string slices, never bit by bit.
 * ``halving_diagonal`` builds, by repeated minority voting over a
   candidate window, a set of same-length words that no member of a
   given finite family equals.
@@ -23,7 +27,7 @@ Everything here is exact and deterministic; randomness appears only in
 the test harnesses that drive these functions.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import (
@@ -45,18 +49,36 @@ class BoundFunction:
 
     ``poly_computable`` is a tag supplied by the caller (we cannot
     decide it); ``monotone`` is a claim that validate_reasonable checks
-    on its range. Instances are callable."""
+    on its range. Instances are callable. ``table(n)`` evaluates the
+    bound at 0..n-1 once per instance, in ascending order, and later
+    calls at those lengths read the stored values; a value that fails
+    validation is never stored. The table takes no part in equality or
+    hashing."""
 
     name: str
     fn: Callable[[int], int]
     poly_computable: bool = True
     monotone: bool = True
+    _table: list = field(default_factory=list, init=False, repr=False,
+                         compare=False)
 
     def __call__(self, n):
+        t = self._table
+        if 0 <= n < len(t):
+            return t[n]
         v = self.fn(n)
         if not isinstance(v, int) or v < 0:
             raise ValueError(f"{self.name}({n}) = {v!r}, want a length")
         return v
+
+    def table(self, n):
+        """The list [self(0), ..., self(n-1)]."""
+        if n < 0:
+            raise ValueError(f"table length {n} is negative")
+        t = self._table
+        for i in range(len(t), n):
+            t.append(self(i))
+        return t[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -236,68 +258,74 @@ def validate_reasonable(members, n_max, p_samples=(), n_min=1,
 # Separator interleaving
 
 
+def _cuts(g, n):
+    """[0, g(0), ..., g(n)]: data block i runs from cuts[i] to cuts[i+1]."""
+    if n < 0:
+        raise PreconditionViolated(f"need a block count, got {n}")
+    return [0] + g.table(n + 1)
+
+
 def interleave(r, g, n):
     """Pad r with separator zeros: block i of r (bits g(i-1) to g(i)-1)
     is followed by one 0, so separator number i lands at position
     g(i) + i. Returns the first g(n) + n bits of the padded stream,
-    which end exactly with block n. Assumes g non-decreasing with
-    g(n) <= n; blocks may be empty.
+    which end exactly with block n. g is a ``BoundFunction``, assumed
+    non-decreasing; its values g(0..n) come from its table, so each is
+    evaluated once per instance. Blocks may be empty.
     """
-    data = r.prefix(g(n))
-    parts = []
-    prev = 0
-    for i in range(n):
-        cut = g(i)
-        parts.append(data[prev:cut])
-        parts.append("0")
-        prev = cut
-    parts.append(data[prev:])
-    return "".join(parts)
+    cuts = _cuts(g, n)
+    data = r.prefix(cuts[-1])
+    return "0".join([data[a:b] for a, b in zip(cuts, cuts[1:])])
 
 
 def recover_prefix(s_prefix, g, n):
     """Undo interleave: strip the n separators sitting at positions
     g(i) + i and return the g(n) data bits that remain. The input must
     cover at least g(n) + n positions (interleave's own output does).
+    g is a ``BoundFunction``, assumed non-decreasing, read through its
+    table like interleave's.
     """
     check_bitword(s_prefix)
-    need = g(n) + n
+    cuts = _cuts(g, n)
+    need = cuts[-1] + n
     if len(s_prefix) < need:
         raise PreconditionViolated(
             f"need {need} interleaved bits to recover {n} blocks, "
             f"got {len(s_prefix)}")
-    seps = set()
-    for i in range(n):
-        p = g(i) + i
-        if s_prefix[p] != "0":
-            raise MalformedInterleaving(
-                f"separator {i} missing at position {p}")
-        seps.add(p)
-    return "".join(s_prefix[p] for p in range(need) if p not in seps)
+    # block i sits between separators i-1 and i, shifted i places right
+    chunks = [s_prefix[a + i:b + i]
+              for i, (a, b) in enumerate(zip(cuts, cuts[1:]))]
+    if "0".join(chunks) != s_prefix[:need]:
+        i = next(i for i, c in enumerate(cuts[1:n + 1])
+                 if s_prefix[c + i] != "0")
+        raise MalformedInterleaving(
+            f"separator {i} missing at position {cuts[i + 1] + i}")
+    return "".join(chunks)
 
 
 def interleave_decompressor(g):
     """The rebuild step for interleaved streams: given enough raw bits,
-    regenerate any n-bit prefix of the padded stream by walking the
-    separator schedule. Cost is reported as one step per emitted bit.
+    regenerate any n-bit prefix of the padded stream. g is a
+    ``BoundFunction``, assumed non-decreasing and read through its
+    table. For each n the layout (the k separators below n, hence n - k
+    data bits, and the block boundaries) is worked out once and kept
+    until a different n is asked for; a seed shorter than n - k is
+    padded with zeros. Cost is reported as one step per emitted bit.
     """
-    def run(seed, n):
-        out = []
-        i, j = 0, 0
-        next_sep = g(0)
-        for pos in range(n):
-            if pos == next_sep:
-                out.append("0")
-                i += 1
-                next_sep = g(i) + i
-            elif j < len(seed):
-                out.append(seed[j])
-                j += 1
-            else:
-                out.append("0")
-        return "".join(out), n
+    layout = (None, None)
 
-    return Decompressor(name=f"unzip[{getattr(g, 'name', 'g')}]", run=run)
+    def run(seed, n):
+        nonlocal layout
+        key, cuts = layout
+        if key != n:
+            full = _cuts(g, n)
+            k = next(i for i, c in enumerate(full[1:]) if c + i >= n)
+            cuts = full[:k + 1] + [n - k]
+            layout = (n, cuts)
+        data = seed[:cuts[-1]].ljust(cuts[-1], "0")
+        return "0".join([data[a:b] for a, b in zip(cuts, cuts[1:])]), n
+
+    return Decompressor(name=f"unzip[{g.name}]", run=run)
 
 
 def identity_decompressor():

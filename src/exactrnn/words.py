@@ -234,7 +234,9 @@ class BitStream:
     """Deterministic, memoized stream of bits indexed from 0.
 
     Construct through the factories; `bit(i)` is repeatable, `prefix(n)`
-    is the first n bits as a word.  `value` is the exact binary-fraction
+    is the first n bits as a word, sliced from one string that is
+    extended, to cover every bit read so far, only when a call asks for
+    more bits than it holds.  `value` is the exact binary-fraction
     value sum bit(i)/2^(i+1) when a closed form is known (finite-tail and
     eventually-periodic streams), else None.  `mathematical` is False
     for PRNG-backed streams, which exist for tests and sampling, not as
@@ -244,6 +246,7 @@ class BitStream:
     def __init__(self, fn, value=None, spec=None, mathematical=True):
         self._fn = fn
         self._memo = []
+        self._text = ""
         self.value = value
         self._spec = spec
         self.mathematical = mathematical
@@ -257,9 +260,14 @@ class BitStream:
         return memo[i]
 
     def prefix(self, n):
-        if n > 0:
+        if n < 0:
+            raise ValueError(f"prefix length {n} is negative")
+        text = self._text
+        if n > len(text):
             self.bit(n - 1)
-        return "".join(str(b) for b in self._memo[:n])
+            text += "".join(map(str, self._memo[len(text):]))
+            self._text = text
+        return text[:n]
 
     # ---------------------------------------------------------- factories
 

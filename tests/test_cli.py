@@ -11,7 +11,7 @@ import json
 import pytest
 
 from exactrnn.augmented import ann_from_tma, enn_from_tma
-from exactrnn.cli import main
+from exactrnn.cli import BOUNDS, main
 from exactrnn.machines import tm_run
 from exactrnn.words import words_of_length
 from exactrnn.zoo import (advice_eater_tma, dyck_oracle, dyck_sm,
@@ -325,6 +325,12 @@ def test_kolmogorov_roundtrip_modes(tmp_path):
         assert agg["failures"] == 0 and agg["checked"] == 25 * 41
 
     assert main(["kolmogorov", "--trials", "0"]) == 2
+    for mode in ("roundtrip", "kfg"):
+        for g in sorted(BOUNDS):
+            out = tmp_path / f"neg-{mode}-{g}.jsonl"
+            assert main(["kolmogorov", "--mode", mode, "--g", g,
+                         "--n-max", "-1", "--out", str(out)]) == 2
+            assert not out.exists()
 
 
 def test_kolmogorov_kfg_mode(tmp_path):

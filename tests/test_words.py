@@ -265,6 +265,27 @@ def test_stream_memoization_is_stable():
     assert calls == list(range(10))
 
 
+def test_stream_prefix_after_mixed_reads_and_negative_lengths():
+    s = BitStream.from_periodic("1", "011")
+    fresh = BitStream.from_periodic("1", "011")
+    want = "".join(str(fresh.bit(i)) for i in range(40))
+    for op, n in [("bit", 5), ("prefix", 3), ("prefix", 10), ("bit", 20),
+                  ("prefix", 12), ("prefix", 25), ("prefix", 0),
+                  ("bit", 33), ("prefix", 40), ("prefix", 21)]:
+        if op == "bit":
+            assert s.bit(n) == int(want[n])
+        else:
+            assert s.prefix(n) == want[:n]
+
+    t = BitStream.from_periodic("", "10")
+    for read in (None, 7):
+        if read is not None:
+            t.bit(read)
+        with pytest.raises(ValueError, match="negative"):
+            t.prefix(-2)
+    assert t.prefix(8) == "10101010"
+
+
 def test_stream_json_roundtrip():
     for s in [
         BitStream.from_word("0110"),

@@ -51,9 +51,10 @@ class BoundFunction:
     decide it); ``monotone`` is a claim that validate_reasonable checks
     on its range. Instances are callable. ``table(n)`` evaluates the
     bound at 0..n-1 once per instance, in ascending order, and later
-    calls at those lengths read the stored values; a value that fails
-    validation is never stored. The table takes no part in equality or
-    hashing."""
+    calls at those lengths read the stored values. The table holds a
+    non-decreasing run of valid lengths: a value that fails validation,
+    or that falls below its predecessor, raises ValueError and is never
+    stored. The table takes no part in equality or hashing."""
 
     name: str
     fn: Callable[[int], int]
@@ -77,7 +78,11 @@ class BoundFunction:
             raise ValueError(f"table length {n} is negative")
         t = self._table
         for i in range(len(t), n):
-            t.append(self(i))
+            v = self(i)
+            if t and v < t[-1]:
+                raise ValueError(f"{self.name}({i}) = {v} is below "
+                                 f"{self.name}({i - 1}) = {t[-1]}")
+            t.append(v)
         return t[:n]
 
 
@@ -269,9 +274,9 @@ def interleave(r, g, n):
     """Pad r with separator zeros: block i of r (bits g(i-1) to g(i)-1)
     is followed by one 0, so separator number i lands at position
     g(i) + i. Returns the first g(n) + n bits of the padded stream,
-    which end exactly with block n. g is a ``BoundFunction``, assumed
-    non-decreasing; its values g(0..n) come from its table, so each is
-    evaluated once per instance. Blocks may be empty.
+    which end exactly with block n. g is a non-decreasing
+    ``BoundFunction``; its values g(0..n) come from its table, so each
+    is evaluated once per instance. Blocks may be empty.
     """
     cuts = _cuts(g, n)
     data = r.prefix(cuts[-1])
@@ -282,8 +287,8 @@ def recover_prefix(s_prefix, g, n):
     """Undo interleave: strip the n separators sitting at positions
     g(i) + i and return the g(n) data bits that remain. The input must
     cover at least g(n) + n positions (interleave's own output does).
-    g is a ``BoundFunction``, assumed non-decreasing, read through its
-    table like interleave's.
+    g is a non-decreasing ``BoundFunction``, read through its table
+    like interleave's.
     """
     check_bitword(s_prefix)
     cuts = _cuts(g, n)
@@ -306,8 +311,7 @@ def recover_prefix(s_prefix, g, n):
 def interleave_decompressor(g):
     """The rebuild step for interleaved streams: given enough raw bits,
     regenerate any n-bit prefix of the padded stream. g is a
-    ``BoundFunction``, assumed non-decreasing and read through its
-    table. For each n the layout (the k separators below n, hence n - k
+    non-decreasing ``BoundFunction``, read through its table. For each n the layout (the k separators below n, hence n - k
     data bits, and the block boundaries) is worked out once and kept
     until a different n is asked for; a seed shorter than n - k is
     padded with zeros. Cost is reported as one step per emitted bit.

@@ -222,6 +222,20 @@ def test_invalid_value_is_never_stored():
     assert g(4) == 4 and g._table == [0, 1, 2]
 
 
+def test_a_descent_is_refused_before_it_reaches_the_codec():
+    g = BoundFunction("dip", [2, 0, 5].__getitem__)
+    message = "dip(1) = 0 is below dip(0) = 2"
+    for call in (lambda: interleave(BitStream.from_word("11"), g, 1),
+                 lambda: recover_prefix("000", g, 1),
+                 lambda: interleave_decompressor(g).run("111", 4),
+                 lambda: g.table(3)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+        assert g._table == [2]
+    assert g(1) == 0
+
+
 def test_smallest_invalid_length_is_named():
     g = BoundFunction("holes", lambda n: -1 if n in (2, 5) else n)
     with pytest.raises(ValueError, match=r"holes\(2\)"):

@@ -311,10 +311,11 @@ def recover_prefix(s_prefix, g, n):
 def interleave_decompressor(g):
     """The rebuild step for interleaved streams: given enough raw bits,
     regenerate any n-bit prefix of the padded stream. g is a
-    non-decreasing ``BoundFunction``, read through its table. For each n the layout (the k separators below n, hence n - k
-    data bits, and the block boundaries) is worked out once and kept
-    until a different n is asked for; a seed shorter than n - k is
-    padded with zeros. Cost is reported as one step per emitted bit.
+    non-decreasing ``BoundFunction``, read through its table. For each
+    n the layout (the k separators below n, hence n - k data bits, and
+    the block boundaries) is worked out once and kept until a different
+    n is asked for; a seed shorter than n - k is padded with zeros.
+    Cost is reported as one step per emitted bit.
     """
     layout = (None, None)
 

@@ -88,7 +88,7 @@ def reference_run(g):
 def outcome(fn, *args):
     try:
         return ("ok", fn(*args))
-    except Exception as exc:  # compared, never swallowed: both sides must agree
+    except Exception as exc:  # both sides must raise alike
         return (type(exc), str(exc))
 
 

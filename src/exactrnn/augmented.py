@@ -28,8 +28,7 @@ import warnings
 from dataclasses import dataclass
 
 from .compiler import (
-    NetBuilder, add_boot_and_clock, add_control, add_stack_block,
-    assemble_program, wire_guard_ops,
+    NetBuilder, add_boot_and_clock, assemble_program, wire_program,
 )
 from .errors import (
     BudgetExceeded, DegenerateProbability, NoConvergence, PrecisionExhausted,
@@ -674,14 +673,7 @@ def ann_from_tma(m, r):
     ctx = add_boot_and_clock(b)
     b.from_input(cell0, 1, -1)
     b.wire(cell0, ctx["started"], -1)
-    stack_cells = {}
-    for s in program.stacks:
-        stack_cells[s] = add_stack_block(
-            b, s, ctx, absorbs_input=(s == "IN"),
-            handover_src=(cell0 if s == "XA" else None))
-    _st, guards, _dec, _spike = add_control(b, ctx, program, stack_cells,
-                                            program.initial)
-    wire_guard_ops(b, program, guards, stack_cells)
+    wire_program(b, ctx, program, handover={"XA": cell0})
     return AnnSpec(base=b.finalize(), bias_stream=r, bias_cell=0)
 
 
@@ -704,15 +696,8 @@ def enn_from_tma(m, e):
     b.wire(acc, acc, as_rat("1/4"))
     b.wire(acc, cell0, as_rat("1/2"))
     b.wire(acc, notfirst, 1)
-    stack_cells = {}
-    for s in program.stacks:
-        stack_cells[s] = add_stack_block(b, s, ctx,
-                                         absorbs_input=(s == "IN"))
-    _st, guards, _dec, _spike = add_control(b, ctx, program, stack_cells,
-                                            program.initial)
 
-    def wire_load(bb, g, weight, _row, s):
-        cells = stack_cells[s]
+    def wire_load(bb, g, weight, s, cells):
         if "cand_load" not in cells:
             cand = bb.add(f"stack/{s}/cand_load")
             bb.wire(cand, acc, 1)
@@ -721,8 +706,8 @@ def enn_from_tma(m, e):
             cells["cand_load"] = cand
         bb.wire(cells["cand_load"], g, weight)
 
-    wire_guard_ops(b, program, guards, stack_cells,
-                   op_table={"load_from": (wire_load, 1)})
+    guards = wire_program(b, ctx, program,
+                          op_table={"load_from": (wire_load, 1)})
     restarts = tuple(guards[i] for i, row in enumerate(program.rows)
                      if row.state == "RB4")
     return EnnSpec(base=b.finalize(), evolving_bias=e, restart_cells=restarts)
@@ -765,13 +750,14 @@ def algo2_tma_simulate_enn(e, f, c, w):
 # stochastic runs
 
 
-def bernoulli_from_stream(rng, stream):
+def bernoulli_from_stream(rng, stream, start=0):
     """One coin flip with success probability the stream's binary value.
 
     Compares fair bits against the expansion lexicographically; the
     comparison settles after a geometric number of bits, so the draw
-    is exact without ever forming the probability."""
-    i = 0
+    is exact without ever forming the probability.  start > 0 resumes
+    a comparison whose first start bits have already tied."""
+    i = start
     while True:
         b = rng.getrandbits(1)
         s = stream.bit(i)
@@ -878,17 +864,8 @@ def algo3_ptma_simulate_snn(s, f, w, seed, paired=False):
         bits = "".join("1" if rng.getrandbits(1) else "0" for _ in range(L))
         choices.append(1 if bits < prefix else 0)
         if paired:
-            if bits != prefix:
-                ideal.append(choices[-1])
-            else:
-                i = L
-                while True:
-                    fb = rng.getrandbits(1)
-                    sb = s.prob_stream.bit(i)
-                    if fb != sb:
-                        ideal.append(1 if fb < sb else 0)
-                        break
-                    i += 1
+            ideal.append(choices[-1] if bits != prefix else
+                         bernoulli_from_stream(rng, s.prob_stream, start=L))
     d = _truncated_loop(s.base, w, fn, 5 * fn, x2=choices)
     if paired:
         return d, PairedCoins(choices=choices, ideal=ideal,

@@ -26,12 +26,11 @@ import time
 
 from .augmented import (AnnSpec, EnnSpec, SnnSpec, algo3_ptma_simulate_snn,
                         algo4_snn_simulate_ptma, ann_run, enn_run)
-from .compiler import compile_machine
+from .compiler import CompiledNetwork, compile_machine
 from .errors import CompileError, ExactRnnError, PreconditionViolated
 from .machines import (PtmSpec, StackMachineSpec, TmSpec, TmaSpec,
                        advice_from_stream, stack_run, tm_run, tm_to_stack,
                        tma_run)
-from .network import RnnConfig, run_word
 from .nonuniform import (BoundFunction, check_kfg, family_from_text,
                          halving_diagonal, interleave,
                          interleave_decompressor, recover_prefix,
@@ -193,42 +192,38 @@ def _outcome(thunk):
         return "error:" + type(exc).__name__
 
 
+# network type -> (name in the error text, spec class, advice stream)
+ADVICE_NETS = {
+    "ann": ("an analog", AnnSpec, "bias_stream"),
+    "enn": ("an evolving", EnnSpec, "evolving_bias"),
+}
+
+
 def _verify_pair(md, nd, args):
     """Build word -> (machine outcome, network outcome) for a file pair."""
     kind = md.get("type")
     bound = args.max_steps
 
-    if nd.get("type") == "ann":
+    if nd.get("type") in ADVICE_NETS:
+        name, spec_cls, stream = ADVICE_NETS[nd["type"]]
         if kind != "tma":
-            raise UsageError("an analog network verifies against an advice "
+            raise UsageError(f"{name} network verifies against an advice "
                              "machine (type tma)")
         m = parse_spec(args.machine, "machine", lambda: TmaSpec.from_json(md))
-        spec = parse_spec(args.network, "network", lambda: AnnSpec.from_json(nd))
-        adv = advice_from_stream(spec.bias_stream, lambda n: bound)
+        spec = parse_spec(args.network, "network",
+                          lambda: spec_cls.from_json(nd))
+        adv = advice_from_stream(getattr(spec, stream), lambda n: bound)
         pb = args.precision_bits
+        budget = {} if pb is None else {"start_bits": pb, "max_bits": pb}
+
+        def net_run(w):
+            if spec_cls is EnnSpec:
+                return enn_run(spec, w, bound)
+            return ann_run(spec, w, bound, **budget)
 
         def pair(w):
-            mk = _outcome(lambda: tma_run(m, adv, w, bound))
-            if pb is None:
-                nk = _outcome(lambda: ann_run(spec, w, bound))
-            else:
-                nk = _outcome(lambda: ann_run(spec, w, bound,
-                                              start_bits=pb, max_bits=pb))
-            return mk, nk
-        return pair
-
-    if nd.get("type") == "enn":
-        if kind != "tma":
-            raise UsageError("an evolving network verifies against an advice "
-                             "machine (type tma)")
-        m = parse_spec(args.machine, "machine", lambda: TmaSpec.from_json(md))
-        spec = parse_spec(args.network, "network", lambda: EnnSpec.from_json(nd))
-        adv = advice_from_stream(spec.evolving_bias, lambda n: bound)
-
-        def pair(w):
-            mk = _outcome(lambda: tma_run(m, adv, w, bound))
-            nk = _outcome(lambda: enn_run(spec, w, bound))
-            return mk, nk
+            return (_outcome(lambda: tma_run(m, adv, w, bound)),
+                    _outcome(lambda: net_run(w)))
         return pair
 
     if "cfg" in nd:
@@ -240,36 +235,15 @@ def _verify_pair(md, nd, args):
         cls, run = runners[kind]
         m = parse_spec(args.machine, "machine", lambda: cls.from_json(md))
         # The time envelope counts steps of the machine the network was
-        # compiled from (embedded in the network file); the machine file
-        # is only the decision oracle.
-        def parse():
-            cfg = RnnConfig.from_json(nd["cfg"])
-            probe = (StackMachineSpec.from_json(nd["machine"])
-                     if "machine" in nd else None)
-            cs = nd.get("constants", {})
-            c_ramp, c_step = cs.get("c_ramp", 0), cs.get("c_step", 1)
-            if not (isinstance(c_ramp, int) and isinstance(c_step, int)):
-                raise TypeError("c_ramp and c_step must be integers")
-            return cfg, probe, c_ramp, c_step
-
-        cfg, probe, c_ramp, c_step = parse_spec(args.network, "network", parse)
+        # compiled from; the machine file is only the decision oracle.
+        net = parse_spec(args.network, "network",
+                         lambda: CompiledNetwork.from_json(nd))
 
         def pair(w):
-            try:
-                dm = run(m, w, bound)
-                mk = dm.kind
-                steps = dm.tau if dm.tau is not None else bound
-            except ExactRnnError as exc:
-                mk, steps = "error:" + type(exc).__name__, bound
-            if probe is not None:
-                dp = stack_run(probe, w, bound)
-                if dp.tau is not None:
-                    steps = dp.tau
-                else:
-                    steps = bound
-            net_bound = c_ramp + c_step * (steps + len(w))
-            nk = _outcome(lambda: run_word(cfg, w, net_bound))
-            return mk, nk
+            mk = _outcome(lambda: run(m, w, bound))
+            steps = net.machine_steps(w, bound)
+            return mk, _outcome(lambda: net.run(
+                w, bound if steps is None else steps))
         return pair
 
     raise UsageError(f"{args.network}: not a recognized network file")
@@ -478,7 +452,8 @@ def build_parser():
     v.add_argument("--corpus", required=True,
                    help="word list, one per line, - for the empty word")
     v.add_argument("--max-steps", type=int, default=10_000,
-                   help="machine step bound per word")
+                   help="machine step bound per word; for ann and enn "
+                        "networks also their network step budget")
     v.add_argument("--precision-bits", type=int, default=None,
                    help="bias interval budget for analog networks")
     v.add_argument("--out", default=None, help="record file (default stdout)")

@@ -125,8 +125,7 @@ def add_boot_and_clock(b):
     return ctx
 
 
-def add_stack_block(b, name, ctx, absorbs_input=False, handover_src=None,
-                    content_extras=(), content_bias=0):
+def add_stack_block(b, name, ctx, absorbs_input=False, handover_src=None):
     """All cells of one stack: the content/pipeline chain, observation
     cells, and the four operation candidates (guards wired later).
 
@@ -136,13 +135,12 @@ def add_stack_block(b, name, ctx, absorbs_input=False, handover_src=None,
     handover_src names an existing cell to play the absorber's role
     instead: the stack starts out holding whatever that cell presents
     right after the input phase (the analog-bias constructions seed
-    their advice stack this way).  content_extras/content_bias let
-    callers splice extra terms into the content update.
+    their advice stack this way).
     """
     clk = ctx["clk"]
     cells = {}
     pre = f"stack/{name}/"
-    cells["content"] = b.add(pre + "content", bias=content_bias)
+    cells["content"] = b.add(pre + "content")
     for role in ("b1", "b2", "b3", "top", "top2", "empty",
                  "cand_push0", "cand_push1", "cand_pop", "cand_noop"):
         cells[role] = b.add(pre + role)
@@ -170,8 +168,6 @@ def add_stack_block(b, name, ctx, absorbs_input=False, handover_src=None,
     b.from_input(c["cand_noop"], b.n_in, -1)
     for role in ("cand_push0", "cand_push1", "cand_pop", "cand_noop"):
         b.wire(c["content"], c[role], 1)
-    for src, w in content_extras:
-        b.wire(c["content"], src, w)
     if absorbs_input:
         c["abs"] = b.add(pre + "abs", bias=as_rat("-3/4"))
         b.wire(c["abs"], c["abs"], as_rat("1/4"))
@@ -189,11 +185,10 @@ def add_stack_block(b, name, ctx, absorbs_input=False, handover_src=None,
     return cells
 
 
-def add_control(b, ctx, machine, stack_cells, initial_state):
+def add_control(b, ctx, machine, stack_cells):
     """One-hot state chain, guard cells, next-state lines, outputs.
 
-    Returns (state cell map, list of guard cell indices aligned with
-    machine.rows, decision cell, spike cell).
+    Returns the guard cell indices, aligned with machine.rows.
     """
     states = sorted({r.state for r in machine.rows} |
                     {r.next_state for r in machine.rows
@@ -209,7 +204,7 @@ def add_control(b, ctx, machine, stack_cells, initial_state):
         b.wire(st[q]["s0"], st[q]["next"], 1)
         b.wire(st[q]["s1"], st[q]["s0"], 1)
         b.wire(st[q]["s2"], st[q]["s1"], 1)
-    b.wire(st[initial_state]["s1"], ctx["pulse2"], 1)
+    b.wire(st[machine.initial]["s1"], ctx["pulse2"], 1)
 
     guards = []
     for i, row in enumerate(machine.rows):
@@ -231,9 +226,7 @@ def add_control(b, ctx, machine, stack_cells, initial_state):
         for cell in neg:
             b.wire(g, cell, -1)
         guards.append(g)
-        if row.next_state in TERMINALS:
-            pass  # wired to outputs below
-        else:
+        if row.next_state not in TERMINALS:
             b.wire(st[row.next_state]["next"], g, 1)
 
     dec = b.add("out/decision")
@@ -245,7 +238,7 @@ def add_control(b, ctx, machine, stack_cells, initial_state):
             b.wire(spike, g, 1)
     b.to_output(0, dec)
     b.to_output(1, spike)
-    return st, guards, dec, spike
+    return guards
 
 
 def wire_guard_ops(b, machine, guards, stack_cells, op_table=None):
@@ -253,7 +246,8 @@ def wire_guard_ops(b, machine, guards, stack_cells, op_table=None):
 
     Rows that leave a stack alone keep its content through the noop
     candidate; a guard firing therefore selects exactly one candidate
-    on every stack.
+    on every stack.  A callable role in op_table wires its own
+    candidate: role(b, guard, weight, stack name, the stack's cells).
     """
     table = dict(BASE_OP_TABLE)
     if op_table:
@@ -266,9 +260,26 @@ def wire_guard_ops(b, machine, guards, stack_cells, op_table=None):
                 raise CompileError(f"op {op!r} has no candidate template")
             role, weight = table[name]
             if callable(role):
-                role(b, g, weight, row, s)
+                role(b, g, weight, s, cells)
             else:
                 b.wire(cells[role], g, weight)
+
+
+def wire_program(b, ctx, program, handover=None, op_table=None):
+    """Stack blocks, control and guard wiring of an assembled program.
+
+    ctx comes from add_boot_and_clock.  The IN stack absorbs the input;
+    handover maps a stack name to the cell it starts out holding (see
+    add_stack_block).  Returns the guard cells aligned with
+    program.rows.
+    """
+    handover = handover or {}
+    stack_cells = {s: add_stack_block(b, s, ctx, absorbs_input=(s == "IN"),
+                                      handover_src=handover.get(s))
+                   for s in program.stacks}
+    guards = add_control(b, ctx, program, stack_cells)
+    wire_guard_ops(b, program, guards, stack_cells, op_table)
+    return guards
 
 
 def assemble_program(sm, allowed_extra=()):
@@ -348,6 +359,18 @@ class CompiledNetwork:
             "machine": self.machine.to_json(),
         }
 
+    @classmethod
+    def from_json(cls, d):
+        """Read a to_json dict; the program is reassembled from machine."""
+        cs = d["constants"]
+        names = ("c_ramp", "c_step", "c_op")
+        if not all(type(cs[k]) is int for k in names):   # JSON true is no int
+            raise TypeError("c_ramp, c_step and c_op must be integers")
+        machine = StackMachineSpec.from_json(d["machine"])
+        return cls(cfg=RnnConfig.from_json(d["cfg"]), layout=dict(d["layout"]),
+                   machine=machine, program=assemble_program(machine),
+                   **{k: cs[k] for k in names})
+
 
 def compile_machine(sm):
     """Full pipeline: rewrite, build circuitry, wire control, finalize.
@@ -359,16 +382,9 @@ def compile_machine(sm):
     """
     program = assemble_program(sm)
     b = NetBuilder(n_in=2)
-    ctx = add_boot_and_clock(b)
-    stack_cells = {}
-    for s in program.stacks:
-        stack_cells[s] = add_stack_block(b, s, ctx, absorbs_input=(s == "IN"))
-    st, guards, dec, spike = add_control(b, ctx, program, stack_cells,
-                                         program.initial)
-    wire_guard_ops(b, program, guards, stack_cells)
+    wire_program(b, add_boot_and_clock(b), program)
     layout = {name: i for i, name in enumerate(b.names)}
-    cfg = b.finalize()
-    return CompiledNetwork(cfg=cfg, layout=layout, machine=sm,
+    return CompiledNetwork(cfg=b.finalize(), layout=layout, machine=sm,
                            program=program)
 
 

@@ -154,26 +154,29 @@ def _apply_write_move(tape, head, write, move):
     return head
 
 
-def tm_run(m, w, bound):
-    """Run to a decision or a step bound; returns a Decision."""
+def _tape_loop(initial, w, pick, bound):
+    """Shared tape loop: pick(steps) gives the transition map of the
+    next step.  Returns (Decision, steps)."""
     check_bitword(w)
     tape = _tape_of(w)
-    head, state, steps = 0, m.initial, 0
-    while steps < bound:
-        if state in TERMINALS:
-            break
+    state, head, steps = initial, 0, 0
+    while steps < bound and state not in TERMINALS:
+        trans = pick(steps)
         sym = tape.get(head, BLANK)
-        rule = m.trans.get((state, sym))
+        rule = trans.get((state, sym))
         if rule is None:
             raise MachineStuck(f"no rule for ({state}, {sym})")
         write, move, state = rule
         steps += 1
         head = _apply_write_move(tape, head, write, move)
-        if state in TERMINALS:
-            return Decision(state, tau=steps)
     if state in TERMINALS:
-        return Decision(state, tau=steps)
-    return Decision("timeout")
+        return Decision(state, tau=steps), steps
+    return Decision("timeout"), steps
+
+
+def tm_run(m, w, bound):
+    """Run to a decision or a step bound; returns a Decision."""
+    return _tape_loop(m.initial, w, lambda _steps: m.trans, bound)[0]
 
 
 @dataclass
@@ -575,25 +578,10 @@ def ptm_run_with_choices(m, w, choices, bound):
     choices is a sequence or a callable index -> bit.  Returns
     (Decision, number of coins consumed).
     """
-    check_bitword(w)
     take = choices if callable(choices) else choices.__getitem__
-    tape = _tape_of(w)
-    state, head, steps = m.initial, 0, 0
-    while steps < bound:
-        if state in TERMINALS:
-            return Decision(state, tau=steps), steps
-        c = take(steps)
-        trans = m.trans1 if c else m.trans0
-        sym = tape.get(head, BLANK)
-        rule = trans.get((state, sym))
-        if rule is None:
-            raise MachineStuck(f"no rule for ({state}, {sym})")
-        write, move, state = rule
-        steps += 1
-        head = _apply_write_move(tape, head, write, move)
-    if state in TERMINALS:
-        return Decision(state, tau=steps), steps
-    return Decision("timeout"), steps
+    return _tape_loop(m.initial, w,
+                      lambda steps: m.trans1 if take(steps) else m.trans0,
+                      bound)
 
 
 @dataclass

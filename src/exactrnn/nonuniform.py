@@ -48,18 +48,17 @@ class BoundFunction:
     """A length-to-length resource bound.
 
     ``poly_computable`` is a tag supplied by the caller (we cannot
-    decide it); ``monotone`` is a claim that validate_reasonable checks
-    on its range. Instances are callable. ``table(n)`` evaluates the
+    decide it). Instances are callable. ``table(n)`` evaluates the
     bound at 0..n-1 once per instance, in ascending order, and later
     calls at those lengths read the stored values. The table holds a
     non-decreasing run of valid lengths: a value that fails validation,
     or that falls below its predecessor, raises ValueError and is never
-    stored. The table takes no part in equality or hashing."""
+    stored. The table takes no part in equality or hashing.
+    validate_reasonable checks monotonicity pointwise on its range."""
 
     name: str
     fn: Callable[[int], int]
     poly_computable: bool = True
-    monotone: bool = True
     _table: list = field(default_factory=list, init=False, repr=False,
                          compare=False)
 

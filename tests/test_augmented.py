@@ -421,6 +421,9 @@ def test_stream_coin_is_exact_on_forced_bits():
     assert bernoulli_from_stream(Feed([0]), st2) == 1
     assert bernoulli_from_stream(Feed([1, 1]), st2) == 0
     assert bernoulli_from_stream(Feed([1, 0, 0]), st2) == 1
+    # resumed after a tie on the first bit: the comparison starts at bit 1
+    assert bernoulli_from_stream(Feed([1]), st2, start=1) == 0
+    assert bernoulli_from_stream(Feed([0, 0]), st2, start=1) == 1
 
 
 # --------------------------------------------------- cross-simulation 3/4

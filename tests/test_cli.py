@@ -152,9 +152,18 @@ def test_verify_rejects_bad_flags_and_corpora(tmp_path, parity_files):
     assert main(["verify", mp, listed, "--corpus", cp]) == 2
 
     nd = json.loads(open(np).read())
-    for constants in ([1, 2], {"c_ramp": "5", "c_step": 6}):
+    for constants in ([1, 2], {"c_ramp": "5", "c_step": 6},
+                      {**nd["constants"], "c_op": 5.0},
+                      {**nd["constants"], "c_ramp": True}):
         odd = write_json(tmp_path / "odd.rnn", {**nd, "constants": constants})
         assert main(["verify", mp, odd, "--corpus", cp]) == 2
+    # a compiled file needs its constants and the machine it came from
+    for key in ("machine", "constants"):
+        odd = write_json(tmp_path / "odd.rnn",
+                         {k: v for k, v in nd.items() if k != key})
+        assert main(["verify", mp, odd, "--corpus", cp]) == 2
+    cfg_only = write_json(tmp_path / "cfg.rnn", {"cfg": nd["cfg"]})
+    assert main(["verify", mp, cfg_only, "--corpus", cp]) == 2
 
     # checked before an empty corpus short-cuts the run
     empty = write_corpus(tmp_path / "empty.txt", [])

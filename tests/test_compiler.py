@@ -1,5 +1,6 @@
 """Compiled networks against the symbolic machines they came from."""
 
+import json
 import random
 
 import pytest
@@ -339,3 +340,14 @@ def test_compiled_json_dump_is_stable():
     d2 = compile_machine(parity_sm()).to_json()
     assert d1 == d2
     assert d1["constants"] == {"c_ramp": 5, "c_step": 6, "c_op": 5}
+
+
+@pytest.mark.parametrize("sm", [parity_sm, dyck_sm])
+def test_compiled_json_round_trips(sm):
+    net = compile_machine(sm())
+    text = json.dumps(net.to_json(), sort_keys=True)
+    back = CompiledNetwork.from_json(json.loads(text))
+    assert json.dumps(back.to_json(), sort_keys=True) == text
+    assert back.program.to_json() == net.program.to_json()
+    for w in ("", "01", "0110"):
+        assert back.run(w).kind == net.run(w).kind

@@ -426,7 +426,7 @@ def _truncated_loop(cfg, w, steps, q, x2=None):
                  tcfg.n_in, x2)
 
 
-def truncate_run(spec, policy, w, steps, x2=None):
+def truncate_run(spec, policy, w, steps):
     """Run with weights and activations cut to policy.q bits each step.
 
     Accepts a plain network, an analog one (the bias becomes the
@@ -435,12 +435,12 @@ def truncate_run(spec, policy, w, steps, x2=None):
     """
     q = policy.q
     if isinstance(spec, AnnSpec):
-        return _truncated_loop(_with_prefix_bias(spec, q), w, steps, q, x2)
+        return _truncated_loop(_with_prefix_bias(spec, q), w, steps, q)
     if isinstance(spec, EnnSpec):
         lifted = _lift_evolving(spec.base)
         return _truncated_loop(lifted, w, steps, q,
                                x2=spec.evolving_bias.bit)
-    return _truncated_loop(_cfg_of(spec), w, steps, q, x2)
+    return _truncated_loop(_cfg_of(spec), w, steps, q)
 
 
 def _cfg_of(spec):
@@ -717,6 +717,16 @@ def enn_from_tma(m, e):
 # procedure 1 and 2: machines simulate analog / evolving networks
 
 
+def _simulate_truncated(spec, f, c, w, empty_warning):
+    """Run spec cut to c*f(n) bits for f(n) steps; an empty budget
+    warns and times out."""
+    fn = f(len(w))
+    if fn == 0:
+        warnings.warn(empty_warning)
+        return Decision("timeout")
+    return truncate_run(spec, TruncationPolicy(c * fn), w, fn)
+
+
 def algo1_tma_simulate_ann(a, f, c, w):
     """Decide w the way an advice machine simulates an analog network:
     query the first c*f(n) bias digits, run the network truncated to
@@ -724,13 +734,9 @@ def algo1_tma_simulate_ann(a, f, c, w):
     network steps; with c at or above the calibrated constant the
     result equals the exact analog run.
     """
-    n = len(w)
-    fn = f(n)
-    if fn == 0:
-        warnings.warn("empty step budget: zero-bias truncation, "
-                      "divergence from the analog run is expected")
-        return Decision("timeout")
-    return truncate_run(a, TruncationPolicy(c * fn), w, fn)
+    return _simulate_truncated(a, f, c, w,
+                               "empty step budget: zero-bias truncation, "
+                               "divergence from the analog run is expected")
 
 
 def algo2_tma_simulate_enn(e, f, c, w):
@@ -738,12 +744,8 @@ def algo2_tma_simulate_enn(e, f, c, w):
     the bias bit of each step as it goes and runs the truncated
     network; bits are exact, so truncation only touches the rational
     weights."""
-    n = len(w)
-    fn = f(n)
-    if fn == 0:
-        warnings.warn("empty step budget: nothing can be simulated")
-        return Decision("timeout")
-    return truncate_run(e, TruncationPolicy(c * fn), w, fn)
+    return _simulate_truncated(
+        e, f, c, w, "empty step budget: nothing can be simulated")
 
 
 # ==========================================================================

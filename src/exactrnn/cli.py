@@ -26,8 +26,9 @@ import time
 
 from .augmented import (AnnSpec, EnnSpec, SnnSpec, algo3_ptma_simulate_snn,
                         algo4_snn_simulate_ptma, ann_run, enn_run)
-from .compiler import CompiledNetwork, compile_machine
-from .errors import CompileError, ExactRnnError, PreconditionViolated
+from .compiler import C_RAMP, C_STEP, CompiledNetwork, compile_machine
+from .errors import (CompileError, ExactRnnError, MachineStuck,
+                     PreconditionViolated)
 from .machines import (PtmSpec, StackMachineSpec, TmSpec, TmaSpec,
                        advice_from_stream, stack_run, tm_run, tm_to_stack,
                        tma_run)
@@ -85,13 +86,6 @@ class RecordSink:
 # input files
 
 
-MACHINE_KINDS = {
-    "tm": TmSpec,
-    "tma": TmaSpec,
-    "ptm": PtmSpec,
-    "stack-machine": StackMachineSpec,
-}
-
 BOUNDS = {
     "log2": log2_bound,
     "sqrt": sqrt_bound,
@@ -100,12 +94,20 @@ BOUNDS = {
 }
 
 
-def load_json(path):
+def read_text(path):
+    """Contents of an input file; unreadable or undecodable is exit 2."""
     try:
         with open(path) as fh:
-            d = json.load(fh)
+            return fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not {exc.encoding} text") from exc
+
+
+def load_json(path):
+    try:
+        d = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} line {exc.lineno}: not valid JSON") from exc
     if not isinstance(d, dict):
@@ -129,13 +131,8 @@ def load_corpus(path):
     Blank lines and lines starting with # are skipped.  Returns the
     canonical order: by length, then lexicographic, duplicates dropped.
     """
-    try:
-        with open(path) as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
     seen = set()
-    for line in raw.splitlines():
+    for line in read_text(path).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -171,7 +168,7 @@ def cmd_compile(args, rec):
              config=config_hash(d))
     rec.emit(record="aggregate", command="compile", cells=net.cfg.k,
              network=config_hash(net.to_json()),
-             constants={"c_ramp": net.c_ramp, "c_step": net.c_step})
+             constants={"c_ramp": C_RAMP, "c_step": C_STEP})
     return 0
 
 
@@ -179,15 +176,15 @@ def cmd_compile(args, rec):
 # verify
 
 
-def _outcome(thunk):
-    """Decision kind of a run, or error:<Name> when it raised.
+def _outcome(run, w):
+    """Decision kind of run(w), or error:<Name> when it raised.
 
     Mapping package errors into outcomes makes a corrupted network show
     up as a per-word mismatch (with the word as witness) rather than as
     a crash.
     """
     try:
-        return thunk().kind
+        return run(w).kind
     except ExactRnnError as exc:
         return "error:" + type(exc).__name__
 
@@ -200,7 +197,8 @@ ADVICE_NETS = {
 
 
 def _verify_pair(md, nd, args):
-    """Build word -> (machine outcome, network outcome) for a file pair."""
+    """The machine and the network runner, word -> Decision, of a file
+    pair."""
     kind = md.get("type")
     bound = args.max_steps
 
@@ -220,11 +218,7 @@ def _verify_pair(md, nd, args):
             if spec_cls is EnnSpec:
                 return enn_run(spec, w, bound)
             return ann_run(spec, w, bound, **budget)
-
-        def pair(w):
-            return (_outcome(lambda: tma_run(m, adv, w, bound)),
-                    _outcome(lambda: net_run(w)))
-        return pair
+        return (lambda w: tma_run(m, adv, w, bound)), net_run
 
     if "cfg" in nd:
         runners = {"tm": (TmSpec, tm_run),
@@ -239,12 +233,13 @@ def _verify_pair(md, nd, args):
         net = parse_spec(args.network, "network",
                          lambda: CompiledNetwork.from_json(nd))
 
-        def pair(w):
-            mk = _outcome(lambda: run(m, w, bound))
-            steps = net.machine_steps(w, bound)
-            return mk, _outcome(lambda: net.run(
-                w, bound if steps is None else steps))
-        return pair
+        def net_run(w):
+            try:    # a stuck probe gets the --max-steps envelope too
+                steps = net.machine_steps(w, bound)
+            except MachineStuck:
+                steps = None
+            return net.run(w, bound if steps is None else steps)
+        return (lambda w: run(m, w, bound)), net_run
 
     raise UsageError(f"{args.network}: not a recognized network file")
 
@@ -267,10 +262,10 @@ def cmd_verify(args, rec):
         rec.emit(record="aggregate", command="verify", words=0, mismatches=0,
                  witness=None, verdict="pass")
         return 0
-    pair = _verify_pair(md, nd, args)
+    machine_run, net_run = _verify_pair(md, nd, args)
     mismatches = []
     for w in words:
-        mk, nk = pair(w)
+        mk, nk = _outcome(machine_run, w), _outcome(net_run, w)
         agree = mk == nk
         rec.emit(record="word", word=w, machine=mk, network=nk, agree=agree)
         if not agree:
@@ -304,6 +299,8 @@ def cmd_stochastic_suite(args, rec):
     """
     if args.trials < 1:
         raise UsageError("--trials must be a positive count")
+    if args.max_steps < 1:
+        raise UsageError("--max-steps must be a positive step budget")
     sd = load_json(args.snn)
     if sd.get("type") != "snn":
         raise UsageError(f"{args.snn}: not a stochastic network file")
@@ -357,11 +354,7 @@ def cmd_stochastic_suite(args, rec):
 
 
 def cmd_diagonalize(args, rec):
-    try:
-        with open(args.family) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read {args.family}: {exc.strerror}") from exc
+    text = read_text(args.family)
     try:
         family = family_from_text(text, args.n)
     except ValueError as exc:
@@ -506,10 +499,7 @@ def main(argv=None):
         code = args.fn(args, rec)
         rec.flush()
         return code
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (CompileError, PreconditionViolated) as exc:
+    except (UsageError, CompileError, PreconditionViolated) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ExactRnnError as exc:

@@ -26,9 +26,10 @@ OUT.  Timing, with n = |w| and s = machine steps (reversal included in
 the cycle count but not in s):
 
     decision spike at  tau = 6n + 5s + 6
-    bound              tau <= C_RAMP + C_STEP * (s + n)    (s >= 1)
+    bound              tau <= C_RAMP + C_STEP * (max(s, 1) + n)
 
-with C_RAMP = 5 and C_STEP = 6.
+with C_RAMP = 5 and C_STEP = 6, the compiler's own: reading a network
+file that records other constants is an error.
 """
 
 import itertools
@@ -42,6 +43,7 @@ from .words import as_rat, delta4
 C_RAMP = 5
 C_STEP = 6
 C_OP = 5
+CONSTANTS = {"c_ramp": C_RAMP, "c_step": C_STEP, "c_op": C_OP}
 
 RESERVED_STACKS = ("IN", "OUT")
 REV_STATE = "@rev"
@@ -125,12 +127,12 @@ def add_boot_and_clock(b):
     return ctx
 
 
-def add_stack_block(b, name, ctx, absorbs_input=False, handover_src=None):
+def add_stack_block(b, name, ctx, handover_src=None):
     """All cells of one stack: the content/pipeline chain, observation
     cells, and the four operation candidates (guards wired later).
 
-    absorbs_input adds the input-absorber front end and turns the
-    content cell into the hand-over form that holds the absorbed word
+    The reserved IN stack gets the input-absorber front end, and its
+    content cell takes the hand-over form that holds the absorbed word
     for the two steps between end of input and clock start.
     handover_src names an existing cell to play the absorber's role
     instead: the stack starts out holding whatever that cell presents
@@ -168,7 +170,7 @@ def add_stack_block(b, name, ctx, absorbs_input=False, handover_src=None):
     b.from_input(c["cand_noop"], b.n_in, -1)
     for role in ("cand_push0", "cand_push1", "cand_pop", "cand_noop"):
         b.wire(c["content"], c[role], 1)
-    if absorbs_input:
+    if name == "IN":
         c["abs"] = b.add(pre + "abs", bias=as_rat("-3/4"))
         b.wire(c["abs"], c["abs"], as_rat("1/4"))
         b.from_input(c["abs"], 0, as_rat("1/2"))
@@ -274,8 +276,7 @@ def wire_program(b, ctx, program, handover=None, op_table=None):
     program.rows.
     """
     handover = handover or {}
-    stack_cells = {s: add_stack_block(b, s, ctx, absorbs_input=(s == "IN"),
-                                      handover_src=handover.get(s))
+    stack_cells = {s: add_stack_block(b, s, ctx, handover.get(s))
                    for s in program.stacks}
     guards = add_control(b, ctx, program, stack_cells)
     wire_guard_ops(b, program, guards, stack_cells, op_table)
@@ -327,12 +328,9 @@ class CompiledNetwork:
     layout: dict
     machine: StackMachineSpec          # original, pre-rewrite machine
     program: StackMachineSpec          # assembled form actually wired
-    c_ramp: int = C_RAMP
-    c_step: int = C_STEP
-    c_op: int = C_OP
 
     def time_bound(self, n, machine_steps):
-        return self.c_ramp + self.c_step * (machine_steps + n)
+        return C_RAMP + C_STEP * (max(machine_steps, 1) + n)
 
     def machine_steps(self, w, bound=10 ** 6):
         d = stack_run(self.machine, w, bound)
@@ -354,8 +352,7 @@ class CompiledNetwork:
         return {
             "cfg": self.cfg.to_json(),
             "layout": dict(sorted(self.layout.items())),
-            "constants": {"c_ramp": self.c_ramp, "c_step": self.c_step,
-                          "c_op": self.c_op},
+            "constants": dict(CONSTANTS),
             "machine": self.machine.to_json(),
         }
 
@@ -363,13 +360,12 @@ class CompiledNetwork:
     def from_json(cls, d):
         """Read a to_json dict; the program is reassembled from machine."""
         cs = d["constants"]
-        names = ("c_ramp", "c_step", "c_op")
-        if not all(type(cs[k]) is int for k in names):   # JSON true is no int
-            raise TypeError("c_ramp, c_step and c_op must be integers")
+        if any(type(cs[k]) is not int or cs[k] != v    # JSON true is no int
+               for k, v in CONSTANTS.items()):
+            raise ValueError(f"constants must be the integers {CONSTANTS}")
         machine = StackMachineSpec.from_json(d["machine"])
         return cls(cfg=RnnConfig.from_json(d["cfg"]), layout=dict(d["layout"]),
-                   machine=machine, program=assemble_program(machine),
-                   **{k: cs[k] for k in names})
+                   machine=machine, program=assemble_program(machine))
 
 
 def compile_machine(sm):

@@ -184,8 +184,7 @@ class Advice:
     """Length-indexed advice: word(n) must have exactly size(n) bits.
 
     prefix_flag marks families where word(m) is a prefix of word(n)
-    for m <= n; nothing enforces it globally (it is checked where the
-    constructions rely on it)."""
+    for m <= n.  It is informational: no code reads or enforces it."""
 
     size: Callable[[int], int]
     word: Callable[[int], str]
@@ -446,8 +445,6 @@ def tm_to_stack(m):
                 f"rule ({q},{a})->({b},{mv},{q2}) erases a written cell")
         if a == BLANK and mv == "R":
             raise PreconditionViolated(
-                f"rule ({q},{a})->({b},{mv},{q2}) walks right through blank"
-                if b == BLANK else
                 f"rule ({q},{a})->({b},{mv},{q2}) extends the tape while "
                 "leaving a blank behind")
 

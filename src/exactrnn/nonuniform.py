@@ -400,6 +400,8 @@ def halving_diagonal(family, n, f_n):
     members is extinct after f_n + 1 votes and the output equals none
     of them.
     """
+    if n < 0:
+        raise PreconditionViolated(f"word length {n} is negative")
     if f_n < 0 or f_n + 1 > (1 << n):
         raise PreconditionViolated(
             f"need f_n + 1 = {f_n + 1} distinct length-{n} candidates")

@@ -26,6 +26,12 @@ def write_json(path, obj):
     return str(path)
 
 
+def write_binary(path):
+    """A file that is not UTF-8 text."""
+    path.write_bytes(b"\x7fELF\x02\x01" + bytes(range(128, 256)))
+    return str(path)
+
+
 def write_corpus(path, words):
     lines = [(w if w else "-") for w in words]
     path.write_text("".join(line + "\n" for line in lines))
@@ -151,10 +157,16 @@ def test_verify_rejects_bad_flags_and_corpora(tmp_path, parity_files):
     assert main(["verify", listed, np, "--corpus", cp]) == 2
     assert main(["verify", mp, listed, "--corpus", cp]) == 2
 
+    binary = write_binary(tmp_path / "binary.dat")
+    for argv in ([binary, np, "--corpus", cp], [mp, binary, "--corpus", cp],
+                 [mp, np, "--corpus", binary]):
+        assert main(["verify"] + argv) == 2
+
     nd = json.loads(open(np).read())
     for constants in ([1, 2], {"c_ramp": "5", "c_step": 6},
                       {**nd["constants"], "c_op": 5.0},
-                      {**nd["constants"], "c_ramp": True}):
+                      {**nd["constants"], "c_ramp": True},
+                      {**nd["constants"], "c_step": 60}):
         odd = write_json(tmp_path / "odd.rnn", {**nd, "constants": constants})
         assert main(["verify", mp, odd, "--corpus", cp]) == 2
     # a compiled file needs its constants and the machine it came from
@@ -170,6 +182,41 @@ def test_verify_rejects_bad_flags_and_corpora(tmp_path, parity_files):
     for bits in ("0", "-1"):
         assert main(["verify", mp, np, "--corpus", empty,
                      "--precision-bits", bits]) == 2
+
+
+def test_verify_machine_that_decides_without_a_step(tmp_path):
+    # tau = 6n + 6 lies one cycle past C_RAMP + C_STEP * n
+    mp = write_json(tmp_path / "now.sm",
+                    {"type": "stack-machine", "stacks": [], "initial": "accept",
+                     "rows": [], "extra_ops": []})
+    np = tmp_path / "now.rnn"
+    assert main(["compile", mp, "--out", str(np)]) == 0
+    cp = write_corpus(tmp_path / "c.txt", ["", "0", "1", "01", "0110"])
+    rc, recs = run_to_records(tmp_path, ["verify", mp, str(np),
+                                         "--corpus", cp])
+    assert rc == 0
+    assert [r["network"] for r in recs if r["record"] == "word"] \
+        == ["accept"] * 5
+
+
+def test_verify_records_every_word_of_a_stuck_machine(tmp_path):
+    mp = write_json(tmp_path / "stuck.sm",
+                    {"type": "stack-machine", "stacks": ["S"], "initial": "q",
+                     "rows": [["q", "0", {}, {}, "q"],
+                              ["q", "end", {}, {}, "accept"]],
+                     "extra_ops": []})
+    np = tmp_path / "stuck.rnn"
+    assert main(["compile", mp, "--out", str(np)]) == 0
+    cp = write_corpus(tmp_path / "c.txt", ["", "0", "1"])
+    rc, recs = run_to_records(tmp_path, ["verify", mp, str(np),
+                                         "--corpus", cp])
+    assert rc == 1
+    words = [r for r in recs if r["record"] == "word"]
+    assert [(r["word"], r["agree"]) for r in words] \
+        == [("", True), ("0", True), ("1", False)]
+    assert words[2]["machine"] == "error:MachineStuck"
+    assert words[2]["network"] == "timeout"
+    assert recs[-1]["witness"] == "1" and recs[-1]["mismatches"] == 1
 
 
 def test_verify_rejects_malformed_analog_files(tmp_path, capsys):
@@ -271,6 +318,14 @@ def test_stochastic_suite_usage_errors(tmp_path, suite_files):
     listed = write_json(tmp_path / "list.json", [1, 2])
     assert main(["stochastic-suite", listed, pp, "--trials", "5"]) == 2
     assert main(["stochastic-suite", sp, listed, "--trials", "5"]) == 2
+    binary = write_binary(tmp_path / "binary.dat")
+    assert main(["stochastic-suite", binary, pp, "--trials", "5"]) == 2
+    assert main(["stochastic-suite", sp, binary, "--trials", "5"]) == 2
+    out = tmp_path / "records.jsonl"
+    for steps in ("0", "-3"):
+        assert main(["stochastic-suite", sp, pp, "--trials", "5",
+                     "--max-steps", steps, "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_stochastic_suite_accepts_fixed_ptm(tmp_path, suite_files):
@@ -307,6 +362,12 @@ def test_diagonalize_precondition_exit(tmp_path, capsys):
 
     fp.write_text("000\n")  # member length disagrees with n
     assert main(["diagonalize", str(fp), "2", "1", "--out", str(out)]) == 2
+
+    fp.write_text("-\n")
+    assert main(["diagonalize", str(fp), "-1", "0", "--out", str(out)]) == 2
+    binary = write_binary(tmp_path / "binary.dat")
+    assert main(["diagonalize", binary, "2", "1", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_diagonalize_escapes_a_real_family(tmp_path):

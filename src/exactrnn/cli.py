@@ -78,8 +78,7 @@ class RecordSink:
         if self.path is None:
             sys.stdout.write(text)
         else:
-            with open(self.path, "w") as fh:
-                fh.write(text)
+            write_text(self.path, text)
 
 
 # ==========================================================================
@@ -103,6 +102,15 @@ def read_text(path):
         raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not {exc.encoding} text") from exc
+
+
+def write_text(path, text):
+    """Write an output file; a path that cannot be written is exit 2."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def load_json(path):
@@ -161,9 +169,7 @@ def cmd_compile(args, rec):
     else:
         raise UsageError(f"{args.machine}: cannot compile machine type {kind!r}")
     net = compile_machine(source)
-    payload = canonical(net.to_json()) + "\n"
-    with open(args.out, "w") as fh:
-        fh.write(payload)
+    write_text(args.out, canonical(net.to_json()) + "\n")
     rec.emit(record="header", command="compile", seed=None, corpus=None,
              config=config_hash(d))
     rec.emit(record="aggregate", command="compile", cells=net.cfg.k,
@@ -361,8 +367,7 @@ def cmd_diagonalize(args, rec):
         raise UsageError(f"{args.family}: {exc}") from exc
     result = halving_diagonal(family, args.n, args.f_n)
     escapes = all(result.members != m.members for m in family)
-    with open(args.out, "w") as fh:
-        fh.write(slice_to_line(result) + "\n")
+    write_text(args.out, slice_to_line(result) + "\n")
     rec.emit(record="header", command="diagonalize", seed=None, corpus=None,
              config=config_hash({"family": text, "n": args.n,
                                  "f_n": args.f_n}))

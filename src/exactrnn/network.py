@@ -12,7 +12,11 @@ arithmetic is exact; there is no floating point anywhere.  A config
 holds its weights as integers over one common denominator D, and a
 state holds only its live (nonzero) cells, as integer numerators over
 one shared denominator, so a step is integer multiply-adds plus a
-single gcd.
+single common factor.  Once that denominator passes 64 bits (analog
+and evolving runs push advice digits into one cell, so it grows with
+every step), cells at one enter a step as whole numbers, not as long
+numerators, and lowest terms takes the power of two from the bits of
+the operands and a gcd of the odd part only.
 
 Word I/O protocol: bit i of the word arrives as x_0 = w_i with
 validation x_1 = 1, input then goes silent (0,0).  The network answers
@@ -229,6 +233,24 @@ class Decision:
             yield f"t={t} h=({hs}) y=({y[0]},{y[1]})"
 
 
+def common_factor(one, *nums):
+    """math.gcd(one, *nums) for one > 0 and nums >= 0.
+
+    Above 64 bits (where the denominators of analog and evolving runs
+    grow, mostly by powers of two) the power of two is the lowest set
+    bit of all the operands or-ed together, and only the odd part of
+    one goes through math.gcd, which then costs linear time when that
+    part is short instead of quadratic time in the length of one.
+    """
+    if one.bit_length() <= 64:
+        return math.gcd(one, *nums)
+    low = one
+    for v in nums:
+        low |= v
+    odd = one >> ((one & -one).bit_length() - 1)
+    return math.gcd(odd, *nums) << ((low & -low).bit_length() - 1)
+
+
 def step(cfg, state, x):
     """One synchronous update; returns (next state, output pair).
 
@@ -236,35 +258,77 @@ def step(cfg, state, x):
     bias) are evaluated; everything else saturates to 0 for free, which
     is what makes large compiled networks cheap to run.  The input
     lines x carry integers (bits under the word protocol).  The sums
-    are numerators over cfg._den * state.den; one gcd brings the new
-    state back to lowest terms.
+    are numerators over one = cfg._den * state.den, and common_factor
+    brings the new state back to lowest terms.
+
+    Above 64 bits of one, a product with a numerator costs time linear
+    in its length, so inputs, biases and cells at one (numerator
+    state.den) add their integer weights into a whole part, the other
+    live cells add weight times numerator into a fractional part, and
+    each target takes at most one long multiply, whole * state.den +
+    part, however many cells at one feed it; a target fed by whole
+    numbers alone that ends at or below 0 or at or above one takes
+    none.  At 64 bits or fewer every contribution goes into one sum,
+    which costs fewer dict operations.
     """
     if len(x) != cfg.n_in:
         raise ValueError(f"expected {cfg.n_in} input lines, got {len(x)}")
     den = state.den
+    one = cfg._den * den
+    res = cfg._res_by_col
+    bias = cfg._bias_map
     acc = dict.fromkeys(cfg._pos_bias, 0)
     get = acc.get
-    for c, xv in enumerate(x):
-        if xv:
-            xv *= den
-            for i, w in cfg._in_cols[c]:
-                acc[i] = get(i, 0) + w * xv
-    res = cfg._res_by_col
-    for j, m in state.nums.items():
-        col = res.get(j)
-        if col:
-            for i, w in col:
-                acc[i] = get(i, 0) + w * m
-    one = cfg._den * den
-    bias = cfg._bias_map
     nums = {}
-    for i, v in acc.items():
-        b = bias.get(i)
-        if b:
-            v += b * den
-        if v > 0:
-            nums[i] = v if v < one else one
-    g = math.gcd(one, *nums.values())
+    if one.bit_length() <= 64:
+        for c, xv in enumerate(x):
+            if xv:
+                xv *= den
+                for i, w in cfg._in_cols[c]:
+                    acc[i] = get(i, 0) + w * xv
+        for j, m in state.nums.items():
+            col = res.get(j)
+            if col:
+                for i, w in col:
+                    acc[i] = get(i, 0) + w * m
+        for i, v in acc.items():
+            b = bias.get(i)
+            if b:
+                v += b * den
+            if v > 0:
+                nums[i] = v if v < one else one
+        g = math.gcd(one, *nums.values())
+    else:
+        part = {}
+        pget = part.get
+        for c, xv in enumerate(x):
+            if xv:
+                for i, w in cfg._in_cols[c]:
+                    acc[i] = get(i, 0) + w * xv
+        for j, m in state.nums.items():
+            col = res.get(j)
+            if not col:
+                continue
+            if m == den:
+                for i, w in col:
+                    acc[i] = get(i, 0) + w
+            else:
+                for i, w in col:
+                    part[i] = pget(i, 0) + w * m
+        for i, v in acc.items():
+            v += bias.get(i, 0)
+            p = part.pop(i, None)
+            if p is not None:
+                v = v * den + p
+                if v > 0:
+                    nums[i] = v if v < one else one
+            elif v > 0:
+                nums[i] = v * den if v < cfg._den else one
+        for i, v in part.items():
+            v += bias.get(i, 0) * den
+            if v > 0:
+                nums[i] = v if v < one else one
+        g = common_factor(one, *nums.values())
     if g > 1:
         one //= g
         nums = {i: v // g for i, v in nums.items()}

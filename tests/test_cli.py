@@ -38,6 +38,14 @@ def write_corpus(path, words):
     return str(path)
 
 
+def assert_one_error(capsys, text):
+    """stderr holds exactly one error: line, naming text, and no traceback."""
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and text in errors[0], err
+    assert "Traceback" not in err
+
+
 def records_of(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
 
@@ -74,7 +82,7 @@ def test_compile_writes_network_and_is_idempotent(tmp_path, capsys):
     assert set(d) == {"cfg", "layout", "constants", "machine"}
 
 
-def test_compile_rejects_bad_input(tmp_path):
+def test_compile_rejects_bad_input(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     out = str(tmp_path / "x.rnn")
@@ -88,6 +96,12 @@ def test_compile_rejects_bad_input(tmp_path):
 
     listed = write_json(tmp_path / "list.json", [1, 2])
     assert main(["compile", listed, "--out", out]) == 2
+
+    mp = write_json(tmp_path / "parity.tm", parity_tm().to_json())
+    capsys.readouterr()
+    nodir = str(tmp_path / "nodir" / "x.rnn")
+    assert main(["compile", mp, "--out", nodir]) == 2
+    assert_one_error(capsys, f"cannot write {nodir}")
 
 
 # ---------------------------------------------------------------- verify
@@ -140,7 +154,7 @@ def test_verify_empty_corpus_warns_and_passes(tmp_path, parity_files, capsys):
     assert "empty corpus" in capsys.readouterr().err
 
 
-def test_verify_rejects_bad_flags_and_corpora(tmp_path, parity_files):
+def test_verify_rejects_bad_flags_and_corpora(tmp_path, parity_files, capsys):
     mp, np = parity_files
     cp = write_corpus(tmp_path / "c.txt", ["0110"])
     assert main(["verify", mp, np, "--corpus", cp, "--max-steps", "2"]) == 2
@@ -182,6 +196,11 @@ def test_verify_rejects_bad_flags_and_corpora(tmp_path, parity_files):
     for bits in ("0", "-1"):
         assert main(["verify", mp, np, "--corpus", empty,
                      "--precision-bits", bits]) == 2
+
+    capsys.readouterr()
+    nodir = str(tmp_path / "nodir" / "r.jsonl")
+    assert main(["verify", mp, np, "--corpus", cp, "--out", nodir]) == 2
+    assert_one_error(capsys, f"cannot write {nodir}")
 
 
 def test_verify_machine_that_decides_without_a_step(tmp_path):
@@ -368,6 +387,11 @@ def test_diagonalize_precondition_exit(tmp_path, capsys):
     binary = write_binary(tmp_path / "binary.dat")
     assert main(["diagonalize", binary, "2", "1", "--out", str(out)]) == 2
     assert not out.exists()
+
+    capsys.readouterr()
+    nodir = str(tmp_path / "nodir" / "s.txt")
+    assert main(["diagonalize", str(fp), "2", "1", "--out", nodir]) == 2
+    assert_one_error(capsys, f"cannot write {nodir}")
 
 
 def test_diagonalize_escapes_a_real_family(tmp_path):

@@ -5,13 +5,15 @@ oracle script and frozen here.
 """
 
 import json
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exactrnn.errors import ProtocolViolation, UndefinedThreshold
-from exactrnn.network import Decision, NetworkState, RnnConfig, run_word, step, theta
+from exactrnn.network import (
+    Decision, NetworkState, RnnConfig, common_factor, run_word, step, theta)
 from exactrnn.words import as_rat
 
 R = as_rat
@@ -172,3 +174,27 @@ def test_three_input_column_rejected_without_flag():
         RnnConfig(k=1, w_in={(0, 3): 1}, w_res={}, w_out={}, h0=[0])
     cfg = RnnConfig(k=1, w_in={(0, 3): 1}, w_res={}, w_out={}, h0=[0], n_in=3)
     assert cfg.n_in == 3
+
+
+@st.composite
+def factor_cases(draw):
+    """one below and above 2^64 (a power of two, odd, or the analog bias
+    denominator 3 * 4^B), numerators equal to one or sharing a run of
+    trailing zeros."""
+    one = draw(st.one_of(st.integers(0, 300).map(lambda e: 1 << e),
+                         st.integers(0, 1 << 300).map(lambda v: 2 * v + 1),
+                         st.integers(0, 150).map(lambda b: 3 * 4 ** b)))
+    shift = draw(st.integers(0, 300))
+    nums = draw(st.lists(st.one_of(st.just(one), st.integers(0, 1 << 200).map(
+        lambda m: m << shift)), max_size=6))
+    return one, nums
+
+
+@settings(max_examples=300, deadline=None)
+@given(factor_cases())
+@example((1 << 100, [1 << 100, 3 << 90]))
+@example((3 * 4 ** 40, [3 * 4 ** 40, 3 << 100]))
+@example((3 ** 50, [3 ** 50 * 5, 3 ** 49 << 70]))
+def test_common_factor_is_the_gcd(case):
+    one, nums = case
+    assert common_factor(one, *nums) == math.gcd(one, *nums)

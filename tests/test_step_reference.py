@@ -24,8 +24,8 @@ from exactrnn.machines import stack_run, tm_to_stack
 from exactrnn.network import Decision, NetworkState, RnnConfig, input_at, step, theta
 from exactrnn.words import BitStream, ZERO, Rat, as_rat, delta4, sigma, trunc_frac
 from exactrnn.zoo import (
-    dyck_sm, first_coin_snn, majority3_snn, parity_tm, stream_compare_tma,
-    three_quarters_stream, two_thirds_stream,
+    advice_eater_tma, dyck_sm, eater_stream, first_coin_snn, majority3_snn,
+    parity_tm, stream_compare_tma, three_quarters_stream, two_thirds_stream,
 )
 
 R = as_rat
@@ -294,6 +294,40 @@ def test_step_matches_reference_on_random_rational_configs(cfg, data):
     xs = data.draw(st.lists(st.tuples(*[st.integers(0, 1)] * cfg.n_in),
                             max_size=10))
     assert_steps_agree(cfg, xs)
+
+
+def peak_one(cfg, xs):
+    """Largest one = cfg._den * state.den that step multiplies over on xs."""
+    state, peak = cfg._start, 0
+    for x in xs:
+        peak = max(peak, cfg._den * state.den)
+        state, _ = step(cfg, state, x)
+    return peak
+
+
+def test_step_matches_reference_on_the_long_evolving_stack():
+    # every evolving bit goes onto a base-4 stack, so the shared
+    # denominator grows by two bits a step
+    e = aug.enn_from_tma(advice_eater_tma(), eater_stream(4))
+    lifted = aug._lift_evolving(e.base)
+    tau = aug.enn_run(e, "0110", 5000).tau
+    assert tau == 765
+    xs = protocol_inputs(lifted, "0110", tau, e.evolving_bias.bit)
+    assert_steps_agree(lifted, xs)
+    assert peak_one(lifted, xs) > 1 << 64
+
+
+def test_step_matches_reference_on_a_long_odd_denominator():
+    # cell 0 keeps a third of itself, so the odd part of the shared
+    # denominator gains a factor 3 every step; cell 1 stays at one and
+    # cell 2 saturates at one on some steps
+    half, third = R(1) / 2, R(1) / 3
+    cfg = RnnConfig(k=3, w_in={(0, 0): R(1) / 5, (1, 2): 1, (2, 2): -R(1) / 4},
+                    w_res={(0, 0): third, (0, 1): half, (2, 0): 2, (2, 1): -third})
+    xs = protocol_inputs(cfg, "0110", 60)
+    assert_steps_agree(cfg, xs)
+    one = peak_one(cfg, xs)
+    assert one >> ((one & -one).bit_length() - 1) > 1 << 64
 
 
 # ------------------------------------------------------- truncated runs

@@ -38,8 +38,7 @@ from .machines import (
     BLANK, Row, StackMachineSpec, TERMINALS, bpp_decide, loader_rows,
     main_rule_rows, ptm_run_with_choices,
 )
-from .network import (
-    Decision, RnnConfig, check_protocol, common_factor, drive, run_word, step)
+from .network import Decision, RnnConfig, check_protocol, drive, run_word, step
 from .words import BitStream, Rat, ZERO, as_rat, delta4, trunc_frac
 
 
@@ -274,7 +273,7 @@ def _interval_step(cfg, den, lo, hi, x, bias_cell, bias):
         new_hi = {i: v * bden for i, v in new_hi.items()}
         new_lo[bias_cell] = _clamp(cl, one)
         new_hi[bias_cell] = _clamp(ch, one)
-    g = common_factor(one, *new_hi.values(), *new_lo.values())
+    g = math.gcd(one, *new_hi.values(), *new_lo.values())
     if g > 1:
         one //= g
         new_lo = {i: v // g for i, v in new_lo.items()}
@@ -331,9 +330,8 @@ def ann_run(a, w, max_steps, start_bits=None, max_bits=1 << 16):
     PrecisionExhausted.
 
     The state is two maps of live cells, the lower and the upper
-    numerators, over one shared integer denominator that one
-    common_factor per step keeps in lowest terms; thresholds are
-    integer comparisons.
+    numerators, over one shared integer denominator that a single gcd
+    per step keeps in lowest terms; thresholds are integer comparisons.
     """
     check_protocol(w, max_steps)
     bits = start_bits if start_bits is not None else 16

@@ -233,17 +233,21 @@ class Decision:
             yield f"t={t} h=({hs}) y=({y[0]},{y[1]})"
 
 
-def common_factor(one, *nums):
-    """math.gcd(one, *nums) for one > 0 and nums >= 0.
+# The operand size above which step splits its sums and common_factor
+# replaces a plain gcd; a comparison with it costs less than bit_length.
+_LONG = 1 << 64
 
-    Above 64 bits (where the denominators of analog and evolving runs
-    grow, mostly by powers of two) the power of two is the lowest set
-    bit of all the operands or-ed together, and only the odd part of
-    one goes through math.gcd, which then costs linear time when that
-    part is short instead of quadratic time in the length of one.
+
+def common_factor(one, *nums):
+    """math.gcd(one, *nums) for one > 64 bits long and nums >= 0.
+
+    The denominators of analog and evolving runs grow mostly by powers
+    of two, so the power of two is the lowest set bit of all the
+    operands or-ed together, and only the odd part of one goes through
+    math.gcd, which then costs linear time when that part is short
+    instead of quadratic time in the length of one.  The result is
+    exact for any size; at 64 bits or fewer a plain gcd is faster.
     """
-    if one.bit_length() <= 64:
-        return math.gcd(one, *nums)
     low = one
     for v in nums:
         low |= v
@@ -258,8 +262,9 @@ def step(cfg, state, x):
     bias) are evaluated; everything else saturates to 0 for free, which
     is what makes large compiled networks cheap to run.  The input
     lines x carry integers (bits under the word protocol).  The sums
-    are numerators over one = cfg._den * state.den, and common_factor
-    brings the new state back to lowest terms.
+    are numerators over one = cfg._den * state.den, and one common
+    factor brings the new state back to lowest terms: math.gcd at 64
+    bits or fewer, common_factor above.
 
     Above 64 bits of one, a product with a numerator costs time linear
     in its length, so inputs, biases and cells at one (numerator
@@ -280,7 +285,7 @@ def step(cfg, state, x):
     acc = dict.fromkeys(cfg._pos_bias, 0)
     get = acc.get
     nums = {}
-    if one.bit_length() <= 64:
+    if one < _LONG:
         for c, xv in enumerate(x):
             if xv:
                 xv *= den

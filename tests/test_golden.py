@@ -6,15 +6,17 @@ writes.  These hashes pin the bytes; a change to any of them is a
 change to the file formats users keep.
 """
 
+import json
+
 import pytest
 
 from exactrnn.augmented import ann_from_tma, enn_from_tma, tma_to_stack, tma_to_stack_replay
-from exactrnn.cli import config_hash
+from exactrnn.cli import config_hash, main
 from exactrnn.compiler import compile_machine
 from exactrnn.machines import tm_to_stack
 from exactrnn.zoo import (
-    advice_eater_tma, dyck_sm, eater_stream, parity_tm, stream_compare_tma,
-    two_thirds_stream,
+    advice_eater_tma, dyck_sm, eater_stream, majority3_snn, parity_tm,
+    stream_compare_tma, two_thirds_stream,
 )
 
 GOLDEN = [
@@ -38,3 +40,26 @@ GOLDEN = [
                          ids=[g[0] for g in GOLDEN])
 def test_serialized_bytes_are_pinned(build, digest):
     assert config_hash(build().to_json()) == digest
+
+
+# The records of ``stochastic-suite`` are seeded samples: their bytes
+# change whenever a coin is drawn from different generator bits.
+SUITE_GOLDEN = [
+    ([], "6328a150e5f916aa"),
+    (["--max-steps", "20"], "cdd94f751680f916"),
+]
+
+
+@pytest.mark.parametrize("extra, digest", SUITE_GOLDEN,
+                         ids=["default-steps", "max-steps-20"])
+def test_stochastic_suite_records_are_pinned(tmp_path, extra, digest):
+    snn = tmp_path / "maj3.snn"
+    snn.write_text(json.dumps(majority3_snn(two_thirds_stream()).to_json()))
+    ptma = tmp_path / "coin.ptma"
+    ptma.write_text(json.dumps({"type": "coin-match"}))
+    out = tmp_path / "records.jsonl"
+    argv = ["stochastic-suite", str(snn), str(ptma), "--trials", "200",
+            "--seed", "7", "--out", str(out)] + extra
+    assert main(argv) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert config_hash(records) == digest

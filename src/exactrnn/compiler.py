@@ -32,10 +32,9 @@ with C_RAMP = 5 and C_STEP = 6, the compiler's own: reading a network
 file that records other constants is an error.
 """
 
-import itertools
 from dataclasses import dataclass
 
-from .errors import ArityExceeded, CompileError
+from .errors import CompileError
 from .machines import Row, StackMachineSpec, TERMINALS, stack_run
 from .network import RnnConfig, run_word
 from .words import as_rat, delta4
@@ -414,73 +413,3 @@ def build_stack_circuit(op, content_word=""):
     b.h0[cells["content"]] = delta4(content_word)
     layout = {name: i for i, name in enumerate(b.names)}
     return b.finalize(), layout
-
-
-def build_boolean_block(table, max_arity=8):
-    """Exhaustive sum-of-products template for a boolean function.
-
-    table maps input tuples over {0,1} to output bits; missing entries
-    mean 0.  Returns a BooleanBlock that can evaluate itself through
-    genuine network dynamics (inputs as initial activations, two steps
-    of AND/OR cells) or be wired into a larger builder.
-    """
-    if not table:
-        raise CompileError("empty truth table")
-    arity = len(next(iter(table)))
-    if arity > max_arity:
-        raise ArityExceeded(f"arity {arity} exceeds the limit {max_arity}")
-    for key, val in table.items():
-        if len(key) != arity or any(bit not in (0, 1) for bit in key):
-            raise CompileError(f"malformed table key {key!r}")
-        if val not in (0, 1):
-            raise CompileError(f"non-bit table value {val!r}")
-    minterms = sorted(key for key, val in table.items() if val == 1)
-    return BooleanBlock(arity=arity, minterms=minterms)
-
-
-@dataclass
-class BooleanBlock:
-    arity: int
-    minterms: list
-
-    def instantiate(self, b, input_idxs, prefix="bool"):
-        """Wire AND cells for each minterm and an OR output cell."""
-        if len(input_idxs) != self.arity:
-            raise CompileError("input count does not match arity")
-        ands = []
-        for m, key in enumerate(self.minterms):
-            cell = b.add(f"{prefix}/and{m}",
-                         bias=-(sum(key) - 1) if sum(key) else 0)
-            npos = 0
-            for bit, src in zip(key, input_idxs):
-                b.wire(cell, src, 1 if bit else -1)
-                npos += bit
-            # all-negative minterm: fire from bias when no input is up
-            if npos == 0:
-                b.from_input(cell, b.n_in, 1)
-            ands.append(cell)
-        out = b.add(f"{prefix}/or")
-        for cell in ands:
-            b.wire(out, cell, 1)
-        return out
-
-    def evaluate(self, bits):
-        """Run the block as a real network: inputs live at t=0, the OR
-        cell is read at t=2."""
-        if len(bits) != self.arity:
-            raise CompileError("input count does not match arity")
-        b = NetBuilder(n_in=2)
-        inputs = [b.add(f"in/{i}", h0=bit) for i, bit in enumerate(bits)]
-        out = self.instantiate(b, inputs)
-        cfg = b.finalize()
-        from .network import NetworkState, step
-        st = NetworkState(0, cfg.h0)
-        for _ in range(2):
-            st, _y = step(cfg, st, (0, 0))
-        return int(st.h[out])
-
-
-def exhaustive_truth_table(fn, arity):
-    """Tabulate a python predicate over all bit tuples."""
-    return {bits: (1 if fn(*bits) else 0)
-            for bits in itertools.product((0, 1), repeat=arity)}

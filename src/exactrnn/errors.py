@@ -49,10 +49,6 @@ class CompileError(ExactRnnError):
     """The machine-to-network compiler rejected its input."""
 
 
-class ArityExceeded(CompileError):
-    """A single cell would need more incoming wires than allowed."""
-
-
 class MalformedInterleaving(ExactRnnError):
     """An interleaved string fails its separator pattern and cannot be
     split back into blocks."""

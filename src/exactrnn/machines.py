@@ -181,14 +181,10 @@ def tm_run(m, w, bound):
 
 @dataclass
 class Advice:
-    """Length-indexed advice: word(n) must have exactly size(n) bits.
-
-    prefix_flag marks families where word(m) is a prefix of word(n)
-    for m <= n.  It is informational: no code reads or enforces it."""
+    """Length-indexed advice: word(n) must have exactly size(n) bits."""
 
     size: Callable[[int], int]
     word: Callable[[int], str]
-    prefix_flag: bool = False
 
     def __call__(self, n):
         w = self.word(n)
@@ -201,7 +197,7 @@ class Advice:
 
 def advice_from_stream(r, f):
     """Prefix advice: the first f(n) bits of the stream r."""
-    return Advice(size=f, word=lambda n: r.prefix(f(n)), prefix_flag=True)
+    return Advice(size=f, word=lambda n: r.prefix(f(n)))
 
 
 def _tma_once(m, adv_word, w, bound):

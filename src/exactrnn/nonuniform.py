@@ -443,7 +443,7 @@ def pad_advice(a, g):
                 f"padding needs g({n}) > f({n}), got gap {gap}")
         return "1" * (gap - 1) + "0" + a(n)
 
-    return Advice(size=lambda n: g(n), word=word, prefix_flag=False)
+    return Advice(size=lambda n: g(n), word=word)
 
 
 def unpad_wrapper(m, state="unpad"):
@@ -551,7 +551,7 @@ class PrefixCodeAdvice:
 
     @property
     def advice(self):
-        return Advice(size=self.bound, word=self.padded, prefix_flag=False)
+        return Advice(size=self.bound, word=self.padded)
 
 
 def prefix_codec_encode(slices, f, g, cap=1 << 16):

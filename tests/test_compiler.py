@@ -7,10 +7,9 @@ import pytest
 
 from exactrnn.compiler import (
     BASE_OP_TABLE, C_OP, C_RAMP, C_STEP, CompiledNetwork, NetBuilder,
-    assemble_program, build_boolean_block, build_stack_circuit,
-    compile_machine, exhaustive_truth_table,
+    assemble_program, build_stack_circuit, compile_machine,
 )
-from exactrnn.errors import ArityExceeded, CompileError
+from exactrnn.errors import CompileError
 from exactrnn.machines import Row, StackMachineSpec, stack_run, tm_run, \
     tm_to_stack, TmSpec
 from exactrnn.network import NetworkState, run_word, step
@@ -82,46 +81,6 @@ def run_free(cfg, steps):
         st, _y = step(cfg, st, (0, 0))
         hs.append(st.h)
     return hs
-
-
-# --------------------------------------------------------- boolean blocks
-
-def test_boolean_block_xor():
-    blk = build_boolean_block(exhaustive_truth_table(lambda a, b: a ^ b, 2))
-    for a in (0, 1):
-        for b in (0, 1):
-            assert blk.evaluate((a, b)) == (a ^ b)
-
-
-def test_boolean_block_three_input_exhaustive():
-    funcs = [
-        lambda a, b, c: (a + b + c) % 2,
-        lambda a, b, c: 1 if a + b + c >= 2 else 0,
-        lambda a, b, c: 1 - a,
-        lambda a, b, c: 0,
-    ]
-    for fn in funcs:
-        blk = build_boolean_block(exhaustive_truth_table(fn, 3))
-        for bits in words_of_length(3):
-            tup = tuple(int(x) for x in bits)
-            assert blk.evaluate(tup) == fn(*tup)
-
-
-def test_boolean_block_arity_limit():
-    table = {tuple([0] * 9): 1}
-    with pytest.raises(ArityExceeded):
-        build_boolean_block(table)
-    # the limit is a parameter, not a hard wall
-    build_boolean_block(table, max_arity=9)
-
-
-def test_boolean_block_rejects_garbage():
-    with pytest.raises(CompileError):
-        build_boolean_block({})
-    with pytest.raises(CompileError):
-        build_boolean_block({(0, 2): 1})
-    with pytest.raises(CompileError):
-        build_boolean_block({(0, 1): 1, (0,): 0})
 
 
 # ---------------------------------------------------------- stack circuit

@@ -283,7 +283,6 @@ def test_advice_from_stream_frozen():
     assert a(3) == "101"
     z = advice_from_stream(BitStream.from_periodic("", "10"), lambda n: 0)
     assert z(5) == ""
-    assert a.prefix_flag
 
 
 def test_advice_prefix_property():
@@ -294,7 +293,7 @@ def test_advice_prefix_property():
 
 
 def test_advice_size_mismatch_detected():
-    bad = Advice(size=lambda n: 3, word=lambda n: "01", prefix_flag=False)
+    bad = Advice(size=lambda n: 3, word=lambda n: "01")
     with pytest.raises(ValueError):
         bad(5)
 
@@ -319,7 +318,7 @@ def first_advice_bit_tma():
 def test_tma_ignoring_advice_matches_tm():
     tm = parity_tm()
     tma = advice_ignoring_tma()
-    empty = Advice(size=lambda n: 0, word=lambda n: "", prefix_flag=True)
+    empty = Advice(size=lambda n: 0, word=lambda n: "")
     for n in range(0, 7):
         for w in words_of_length(n):
             assert tma_run(tma, empty, w, 200).kind == tm_run(tm, w, 200).kind
@@ -337,7 +336,7 @@ def test_tma_consistency_check():
     m = first_advice_bit_tma()
     flipping = Advice(size=lambda n: 1,
                       word=lambda n: "1" if n % 2 == 0 else "0")
-    stable = Advice(size=lambda n: n, word=lambda n: "1" * n, prefix_flag=True)
+    stable = Advice(size=lambda n: n, word=lambda n: "1" * n)
     with pytest.raises(ConsistencyViolation):
         tma_run(m, flipping, "00", 10, verify_lengths=[3, 4])
     assert tma_run(m, stable, "00", 10, verify_lengths=[3, 4]).kind == "accept"

@@ -12,7 +12,12 @@ finite realization here:
     runs are exact since bits are exact;
   * stochastic: a third input line carries coin flips with a fixed
     per-step probability; acceptance follows the two-thirds rule over
-    the acceptance probability (enumerated exactly or sampled).
+    the acceptance probability (enumerated exactly or sampled).  A
+    sampled coin compares fair bits with the probability's binary
+    expansion.  The fair bits come from whole generator words: the top
+    bit of a 32-bit word is what getrandbits(1) returns, so a seed
+    gives the same bits, coins and results as one call per bit, and
+    each run owns its generator, so bits read ahead are never seen.
 
 On top of the semantics sit the four cross-simulation procedures
 between these networks and advice Turing machines, and the truncated
@@ -21,6 +26,7 @@ and all activations cut to q fractional bits and calibrate how many
 bits reproduce exact behavior.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -39,7 +45,9 @@ from .machines import (
     main_rule_rows, ptm_run_with_choices,
 )
 from .network import Decision, RnnConfig, check_protocol, drive, run_word, step
-from .words import BitStream, Rat, ZERO, as_rat, delta4, trunc_frac
+from .words import (
+    BitStream, Rat, ZERO, as_rat, delta4, fair_word, trunc_frac,
+)
 
 
 def ceil_log2(x):
@@ -752,20 +760,72 @@ def algo2_tma_simulate_enn(e, f, c, w):
 # stochastic runs
 
 
-def bernoulli_from_stream(rng, stream, start=0):
-    """One coin flip with success probability the stream's binary value.
+_BLOCK = 64     # generator words a fair-bit buffer takes at a time
+_WINDOW = 8     # fair bits a coin compares with the expansion at once
 
-    Compares fair bits against the expansion lexicographically; the
-    comparison settles after a geometric number of bits, so the draw
-    is exact without ever forming the probability.  start > 0 resumes
-    a comparison whose first start bits have already tied."""
-    i = start
-    while True:
-        b = rng.getrandbits(1)
-        s = stream.bit(i)
-        if b != s:
-            return 1 if b < s else 0
-        i += 1
+
+@functools.lru_cache(maxsize=None)          # at most 2^_WINDOW windows
+def _settle(expansion):
+    """For every _WINDOW fair bits: the coin they settle against these
+    _WINDOW expansion bits and the number of bits read, or (None,
+    _WINDOW) when they tie all of them."""
+    table = {}
+    for fair in map("".join, itertools.product("01", repeat=_WINDOW)):
+        j = next((j for j, (f, e) in enumerate(zip(fair, expansion))
+                  if f != e), _WINDOW)
+        table[fair] = ((None, _WINDOW) if j == _WINDOW
+                       else (int(expansion[j]), j + 1))
+    return table
+
+
+class _FairBits:
+    """The fair bits of one generator, read _BLOCK words at a time.
+
+    They come out in the order of repeated getrandbits(1) calls (see
+    words.fair_word).  Each source owns its generator, so the bits left
+    unread in the buffer are never seen and no result depends on the
+    block size.
+    """
+
+    def __init__(self, rng):
+        self._rng = rng
+        self._buf = ""
+        self._pos = 0
+
+    def _refill(self, pos, n):
+        self._buf = self._buf[pos:] + fair_word(self._rng, max(n, _BLOCK))
+        self._pos = 0
+        return self._buf
+
+    def word(self, n):
+        """The next n fair bits as a word."""
+        buf, pos = self._buf, self._pos
+        if pos + n > len(buf):
+            buf, pos = self._refill(pos, n), 0
+        self._pos = pos + n
+        return buf[pos:pos + n]
+
+    def coins(self, stream, start=0):
+        """Endless coin flips, each 1 with probability the stream's value.
+
+        A flip compares fair bits with the expansion lexicographically
+        and takes the expansion bit where they first differ, 1 when the
+        fair bit sorts below it; the comparison settles after a
+        geometric number of bits, so the draw is exact without ever
+        forming the probability.  start > 0 resumes a comparison whose
+        first start bits have already tied.  Bits are compared _WINDOW
+        at a time through a table; a tie resumes past the window.
+        """
+        table = _settle(stream.prefix(start + _WINDOW)[start:])
+        while True:
+            buf, pos = self._buf, self._pos
+            if pos + _WINDOW > len(buf):
+                buf, pos = self._refill(pos, _WINDOW), 0
+            coin, read = table[buf[pos:pos + _WINDOW]]
+            self._pos = pos + read
+            if coin is None:
+                coin = next(self.coins(stream, start + _WINDOW))
+            yield coin
 
 
 @dataclass
@@ -805,11 +865,13 @@ def snn_run(s, w, tau, mode="exact", trials=1000, seed=0, budget=4096):
                          decision=Decision(bpp_decide(prob), tau=tau),
                          mode="exact", tau=tau)
     if mode == "mc":
+        if trials < 1:
+            raise ValueError("trials must be positive")
         accepts = 0
         for i in range(trials):
-            rng = random.Random(seed * 2 ** 64 + i)
-            bits = [bernoulli_from_stream(rng, s.prob_stream)
-                    for _ in range(tau)]
+            coins = _FairBits(random.Random(seed * 2 ** 64 + i)).coins(
+                s.prob_stream)
+            bits = list(itertools.islice(coins, tau))
             if _run_fixed(s.base, w, tau, bits).kind == "accept":
                 accepts += 1
         est = as_rat(accepts) / trials
@@ -860,14 +922,14 @@ def algo3_ptma_simulate_snn(s, f, w, seed, paired=False):
         raise ValueError("step budget must be positive")
     L = max(1, ceil_log2(5 * fn))
     prefix = s.prob_stream.prefix(L)
-    rng = random.Random(seed)
+    src = _FairBits(random.Random(seed))
     choices, ideal = [], []
     for _t in range(fn):
-        bits = "".join("1" if rng.getrandbits(1) else "0" for _ in range(L))
+        bits = src.word(L)
         choices.append(1 if bits < prefix else 0)
         if paired:
             ideal.append(choices[-1] if bits != prefix else
-                         bernoulli_from_stream(rng, s.prob_stream, start=L))
+                         next(src.coins(s.prob_stream, start=L)))
     d = _truncated_loop(s.base, w, fn, 5 * fn, x2=choices)
     if paired:
         return d, PairedCoins(choices=choices, ideal=ideal,
@@ -888,6 +950,20 @@ class Algo4Result:
     exhaustions: int             # fair-bit rounds that hit the pair budget
     k_samples: int
     pair_budget: int
+
+
+@functools.lru_cache(maxsize=256)
+def _algo4_sizes(a, b, fn):
+    """Sample count k and pair budget K of algo4 for p = a/b."""
+    p = Rat(a, b)
+    k = _ceil_rat(10 * p * (1 - p) * fn * fn)
+    stick = p * p + (1 - p) * (1 - p)
+    bound = Rat(1, 16 * fn)
+    budget, left = 1, stick
+    while left > bound:
+        left *= stick
+        budget += 1
+    return k, budget
 
 
 def algo4_snn_simulate_ptma(m, p_stream, f, w, seed):
@@ -915,30 +991,24 @@ def algo4_snn_simulate_ptma(m, p_stream, f, w, seed):
     fn = f(n)
     if fn < 1:
         raise ValueError("step budget must be positive")
-    rng = random.Random(seed)
+    a, b = p.numerator, p.denominator
+    k, budget = _algo4_sizes(a, b, fn)
+    draws = _FairBits(random.Random(seed)).coins(p_stream)
 
-    k = int(_ceil_rat(10 * p * (1 - p) * fn * fn))
-    hits = sum(bernoulli_from_stream(rng, p_stream) for _ in range(k))
-    mean = as_rat(hits) / k
+    hits = sum(itertools.islice(draws, k))
     adv_len = max(1, ceil_log2(fn))
-    v = min(int(mean * 2 ** adv_len), 2 ** adv_len - 1)
+    v = min((hits << adv_len) // k, (1 << adv_len) - 1)
     estimate = format(v, f"0{adv_len}b")
-    estimate_failed = abs(mean - p) > as_rat(1) / fn
+    # |hits/k - a/b| > 1/fn, over integers
+    estimate_failed = abs(hits * b - a * k) * fn > k * b
     prefix_mismatch = estimate != p_stream.prefix(adv_len)
-
-    stick = p * p + (1 - p) * (1 - p)
-    bound = as_rat(1) / (16 * fn)
-    budget, left = 1, stick
-    while left > bound:
-        left *= stick
-        budget += 1
 
     fair, exhaustions = [], 0
     for _i in range(fn):
         bit = None
         for _j in range(budget):
-            b1 = bernoulli_from_stream(rng, p_stream)
-            b2 = bernoulli_from_stream(rng, p_stream)
+            b1 = next(draws)
+            b2 = next(draws)
             if b1 != b2:
                 bit = b1
                 break

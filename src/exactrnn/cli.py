@@ -36,7 +36,7 @@ from .nonuniform import (BoundFunction, check_kfg, family_from_text,
                          halving_diagonal, interleave,
                          interleave_decompressor, recover_prefix,
                          slice_to_line)
-from .words import BitStream, check_bitword
+from .words import BitStream, check_bitword, fair_word
 from .zoo import (coin_match_ptm, double_bound, identity_bound, log2_bound,
                   sqrt_bound)
 
@@ -377,10 +377,6 @@ def cmd_diagonalize(args, rec):
     return 0 if escapes else 1
 
 
-def _random_word(rng, length):
-    return "".join("1" if rng.getrandbits(1) else "0" for _ in range(length))
-
-
 def cmd_kolmogorov(args, rec):
     if args.n_max < 0:
         raise UsageError("--n-max must be a non-negative length")
@@ -397,7 +393,7 @@ def cmd_kolmogorov(args, rec):
         checked = failures = 0
         witness = None
         for _i in range(args.trials):
-            word = _random_word(rng, g(args.n_max) + 1)
+            word = fair_word(rng, g(args.n_max) + 1)
             r = BitStream.from_word(word)
             for n in range(args.n_max + 1):
                 s = interleave(r, g, n)
@@ -414,7 +410,7 @@ def cmd_kolmogorov(args, rec):
         return 0 if failures == 0 else 1
 
     # mode kfg: compress the interleaved stream back through its seed
-    seed_stream = BitStream.from_word(_random_word(rng, g(args.n_max) + 1))
+    seed_stream = BitStream.from_word(fair_word(rng, g(args.n_max) + 1))
     stream = BitStream.from_word(interleave(seed_stream, g, args.n_max))
     margin = BoundFunction("quadratic-margin", lambda n: (n + 2) ** 2)
     report = check_kfg(stream, seed_stream, interleave_decompressor(g),

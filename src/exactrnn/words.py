@@ -227,6 +227,26 @@ def trunc_frac(q, bits):
 
 
 # --------------------------------------------------------------------------
+# fair bits
+
+# byte -> "1" when its top bit is set, else "0"
+_TOP_BIT = bytes(ord("1") if b & 0x80 else ord("0") for b in range(256))
+
+
+def fair_word(rng, n):
+    """The next n fair bits of a random.Random, as a bit word.
+
+    getrandbits(1) is the top bit of one 32-bit generator word, and
+    getrandbits(32 n) packs n words least significant first.  So the top
+    bit of every fourth byte of the little-endian packing gives exactly
+    the bits, in order, of n calls of getrandbits(1), and leaves the
+    generator in the same state, without a Python call per bit.
+    """
+    return (rng.getrandbits(32 * n).to_bytes(4 * n, "little")[3::4]
+            .translate(_TOP_BIT).decode("ascii"))
+
+
+# --------------------------------------------------------------------------
 # bit streams
 
 

@@ -7,6 +7,7 @@ probabilities for the stochastic runners (majority of three at p,
 binomial tails for amplification).
 """
 
+import itertools
 import random
 
 import pytest
@@ -25,10 +26,10 @@ from exactrnn.augmented import (
     algo3_ptma_simulate_snn,
     algo4_snn_simulate_ptma,
     amplify_majority,
+    _FairBits,
     amplify_majority_exact,
     ann_from_tma,
     ann_run,
-    bernoulli_from_stream,
     calibrate_c,
     ceil_log2,
     count_restarts,
@@ -380,6 +381,13 @@ def test_majority_net_sampled_probability_is_close():
     assert r.mode == "mc" and r.trials == 2000
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_sampled_probability_needs_a_positive_trial_count(trials):
+    s = majority3_snn(three_quarters_stream())
+    with pytest.raises(ValueError, match="trials must be positive"):
+        snn_run(s, "", 4, mode="mc", trials=trials)
+
+
 def test_fair_coin_net_lands_in_the_forbidden_band():
     with pytest.raises(BppViolation):
         snn_run(first_coin_snn(half_stream()), "", 2)
@@ -403,27 +411,34 @@ def test_exact_enumeration_respects_its_budget():
 
 
 def test_stream_coin_matches_its_probability():
-    rng = random.Random(5)
     st2 = two_thirds_stream()
-    hits = sum(bernoulli_from_stream(rng, st2) for _ in range(20000))
+    coins = _FairBits(random.Random(5)).coins(st2)
+    hits = sum(itertools.islice(coins, 20000))
     assert abs(hits / 20000 - 2 / 3) < 0.01
 
 
 def test_stream_coin_is_exact_on_forced_bits():
     class Feed:
+        """A generator whose fair bits are the given ones, then zeros:
+        bit i is the top bit of 32-bit word i."""
+
         def __init__(self, bits):
             self.bits = list(bits)
 
-        def getrandbits(self, _n):
-            return self.bits.pop(0)
+        def getrandbits(self, k):
+            words, self.bits = self.bits[:k // 32], self.bits[k // 32:]
+            return sum(b << (32 * i + 31) for i, b in enumerate(words))
+
+    def coin(bits, stream, start=0):
+        return next(_FairBits(Feed(bits)).coins(stream, start))
 
     st2 = two_thirds_stream()          # expansion 101010...
-    assert bernoulli_from_stream(Feed([0]), st2) == 1
-    assert bernoulli_from_stream(Feed([1, 1]), st2) == 0
-    assert bernoulli_from_stream(Feed([1, 0, 0]), st2) == 1
+    assert coin([0], st2) == 1
+    assert coin([1, 1], st2) == 0
+    assert coin([1, 0, 0], st2) == 1
     # resumed after a tie on the first bit: the comparison starts at bit 1
-    assert bernoulli_from_stream(Feed([1]), st2, start=1) == 0
-    assert bernoulli_from_stream(Feed([0, 0]), st2, start=1) == 1
+    assert coin([1], st2, start=1) == 0
+    assert coin([0, 0], st2, start=1) == 1
 
 
 # --------------------------------------------------- cross-simulation 3/4

@@ -146,7 +146,7 @@ def reference_snn_mc(s, w, tau, trials, seed):
 def outcome(fn, *args, **kwargs):
     try:
         return "ok", fn(*args, **kwargs)
-    except Exception as exc:                    # noqa: BLE001
+    except Exception as exc:  # both sides must raise alike
         return type(exc).__name__, str(exc)
 
 

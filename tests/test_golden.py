@@ -1,9 +1,10 @@
-"""Golden bytes: the canonical JSON of compiled networks and stack programs.
+"""Golden bytes: the canonical JSON of compiled networks and stack
+programs, and the records of a seeded ``stochastic-suite`` run.
 
 Every other test compares behaviour, so a renamed micro-state or a
 reordered row would pass them all and still change what ``compile``
 writes.  These hashes pin the bytes; a change to any of them is a
-change to the file formats users keep.
+change to the file formats, or to the seeded records, users keep.
 """
 
 import json

@@ -1,5 +1,6 @@
 """Golden bytes: the canonical JSON of compiled networks and stack
-programs, and the records of a seeded ``stochastic-suite`` run.
+programs, the records of a seeded ``stochastic-suite`` run, and the
+records of seeded ``kolmogorov`` runs in both modes.
 
 Every other test compares behaviour, so a renamed micro-state or a
 reordered row would pass them all and still change what ``compile``
@@ -61,6 +62,31 @@ def test_stochastic_suite_records_are_pinned(tmp_path, extra, digest):
     out = tmp_path / "records.jsonl"
     argv = ["stochastic-suite", str(snn), str(ptma), "--trials", "200",
             "--seed", "7", "--out", str(out)] + extra
+    assert main(argv) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert config_hash(records) == digest
+
+
+# The records of ``kolmogorov`` at seed 1 and n-max 64: the roundtrip
+# mode for every bound, the kfg mode for a slow and a fast bound.
+KOLMOGOROV_GOLDEN = [
+    ("roundtrip", "log2", "75383d360d986bd0"),
+    ("roundtrip", "sqrt", "6b93a8ff9967230d"),
+    ("roundtrip", "identity", "5648af178f364ac9"),
+    ("roundtrip", "double", "36105c7aa32f57de"),
+    ("kfg", "log2", "19a6bcfe66785e92"),
+    ("kfg", "double", "803ee53b77126d9b"),
+]
+
+
+@pytest.mark.parametrize("mode, bound, digest", KOLMOGOROV_GOLDEN,
+                         ids=[f"{m}-{g}" for m, g, _ in KOLMOGOROV_GOLDEN])
+def test_kolmogorov_records_are_pinned(tmp_path, mode, bound, digest):
+    out = tmp_path / "records.jsonl"
+    argv = ["kolmogorov", "--mode", mode, "--g", bound, "--n-max", "64",
+            "--seed", "1", "--out", str(out)]
+    if mode == "roundtrip":
+        argv += ["--trials", "20"]
     assert main(argv) == 0
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert config_hash(records) == digest

@@ -12,7 +12,10 @@ raw material, bit strings indexed by input length:
   They, and ``interleave_decompressor``, take the separator schedule
   as a ``BoundFunction`` and read it through that instance's table, so
   each schedule value is evaluated once however many lengths and seeds
-  are checked; blocks move as string slices, never bit by bit.
+  are checked. From the table each instance computes, once per length,
+  a layout that covers only the non-empty blocks: their slices and one
+  template for the separator runs between them, so a codec call costs
+  a fixed number of string operations, not a step per block.
 * ``halving_diagonal`` builds, by repeated minority voting over a
   candidate window, a set of same-length words that no member of a
   given finite family equals.
@@ -28,7 +31,8 @@ the test harnesses that drive these functions.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from .errors import (
     BoundViolation,
@@ -42,6 +46,20 @@ from .errors import (
 from .machines import Advice, SYMBOLS, TmaSpec
 from .words import check_bitword
 
+# The stored layouts of one bound hold at most this many non-empty
+# blocks in all, about 180 bytes each. A sparse bound (log2, sqrt)
+# stays far below it at the lengths a run reaches. A dense one
+# (identity, double) holds about n**2 / 2 blocks for the lengths up to
+# n, so its layouts past length 511 are rebuilt on every call instead
+# of growing memory with the square of the length.
+LAYOUT_BLOCKS = 1 << 17
+
+
+class _Layouts(dict):
+    """Stored codec layouts by length, with their block count in all."""
+
+    blocks = 0
+
 
 @dataclass(frozen=True)
 class BoundFunction:
@@ -53,14 +71,19 @@ class BoundFunction:
     calls at those lengths read the stored values. The table holds a
     non-decreasing run of valid lengths: a value that fails validation,
     or that falls below its predecessor, raises ValueError and is never
-    stored. The table takes no part in equality or hashing.
-    validate_reasonable checks monotonicity pointwise on its range."""
+    stored. The interleaving codec also keeps on the instance one
+    separator layout per length, computed once from the table and
+    covering only the non-empty blocks. Neither the table nor the
+    layouts take part in equality or hashing. validate_reasonable
+    checks monotonicity pointwise on its range."""
 
     name: str
     fn: Callable[[int], int]
     poly_computable: bool = True
     _table: list = field(default_factory=list, init=False, repr=False,
                          compare=False)
+    _layouts: dict = field(default_factory=_Layouts, init=False,
+                           repr=False, compare=False)
 
     def __call__(self, n):
         t = self._table
@@ -262,11 +285,56 @@ def validate_reasonable(members, n_max, p_samples=(), n_min=1,
 # Separator interleaving
 
 
-def _cuts(g, n):
-    """[0, g(0), ..., g(n)]: data block i runs from cuts[i] to cuts[i+1]."""
+class _Layout(NamedTuple):
+    """The separator layout of one bound at one length n: the g(n)
+    data bits, the fewest separators k with g(k) + k >= n, and three
+    callables over the non-empty blocks. ``take`` cuts them out of the
+    g(n) data bits, ``shifted`` out of the g(n) + n padded bits, and
+    ``fill`` joins them back into the padded bits through a template
+    that holds the separator runs between them."""
+
+    bits: int
+    cover: int
+    take: Callable
+    shifted: Callable
+    fill: Callable
+
+
+def _layout(g, n):
+    """The layout of g at length n, built once per instance and length.
+
+    An empty block adds only its separator, so the template merges
+    those zeros into runs and the slices name non-empty blocks only.
+    A layout is stored only after ``g.table`` has validated g(0..n), so
+    an invalid bound raises on every call and stores nothing. Layouts
+    are stored while the instance holds at most LAYOUT_BLOCKS blocks in
+    all; past that, each call builds its own.
+    """
+    stored = g._layouts
+    lay = stored.get(n)
+    if lay is not None:
+        return lay
     if n < 0:
         raise PreconditionViolated(f"need a block count, got {n}")
-    return [0] + g.table(n + 1)
+    t = g.table(n + 1)
+    blocks = [(i, a, b) for i, (a, b) in enumerate(zip([0] + t, t)) if a < b]
+    marks = [0] + [i for i, _, _ in blocks] + [n]
+    # two empty leading fields keep itemgetter's result a tuple: it
+    # takes no empty argument list, and for one slice it returns a bare
+    # string, which the call would unpack character by character
+    none = slice(0, 0)
+    lay = _Layout(
+        bits=t[n],
+        cover=next(i for i, c in enumerate(t) if c + i >= n),
+        take=itemgetter(none, none, *[slice(a, b) for _, a, b in blocks]),
+        shifted=itemgetter(none, none,
+                           *[slice(a + i, b + i) for i, a, b in blocks]),
+        fill=("{}{}" + "{}".join("0" * (j - i)
+                                 for i, j in zip(marks, marks[1:]))).format)
+    if stored.blocks + len(blocks) <= LAYOUT_BLOCKS:
+        stored[n] = lay
+        stored.blocks += len(blocks)
+    return lay
 
 
 def interleave(r, g, n):
@@ -274,60 +342,51 @@ def interleave(r, g, n):
     is followed by one 0, so separator number i lands at position
     g(i) + i. Returns the first g(n) + n bits of the padded stream,
     which end exactly with block n. g is a non-decreasing
-    ``BoundFunction``; its values g(0..n) come from its table, so each
-    is evaluated once per instance. Blocks may be empty.
+    ``BoundFunction``; its layout at n is computed once per instance
+    and covers only the non-empty blocks. Blocks may be empty.
     """
-    cuts = _cuts(g, n)
-    data = r.prefix(cuts[-1])
-    return "0".join([data[a:b] for a, b in zip(cuts, cuts[1:])])
+    lay = _layout(g, n)
+    return lay.fill(*lay.take(r.prefix(lay.bits)))
 
 
 def recover_prefix(s_prefix, g, n):
     """Undo interleave: strip the n separators sitting at positions
     g(i) + i and return the g(n) data bits that remain. The input must
     cover at least g(n) + n positions (interleave's own output does).
-    g is a non-decreasing ``BoundFunction``, read through its table
-    like interleave's.
+    g is a non-decreasing ``BoundFunction``; its layout at n is
+    computed once per instance, and the non-empty blocks are cut out
+    of the input and joined back through it to check the separators.
     """
     check_bitword(s_prefix)
-    cuts = _cuts(g, n)
-    need = cuts[-1] + n
+    lay = _layout(g, n)
+    need = lay.bits + n
     if len(s_prefix) < need:
         raise PreconditionViolated(
             f"need {need} interleaved bits to recover {n} blocks, "
             f"got {len(s_prefix)}")
-    # block i sits between separators i-1 and i, shifted i places right
-    chunks = [s_prefix[a + i:b + i]
-              for i, (a, b) in enumerate(zip(cuts, cuts[1:]))]
-    if "0".join(chunks) != s_prefix[:need]:
-        i = next(i for i, c in enumerate(cuts[1:n + 1])
-                 if s_prefix[c + i] != "0")
+    chunks = lay.shifted(s_prefix)
+    if lay.fill(*chunks) != s_prefix[:need]:
+        t = g.table(n)
+        i = next(i for i, c in enumerate(t) if s_prefix[c + i] != "0")
         raise MalformedInterleaving(
-            f"separator {i} missing at position {cuts[i + 1] + i}")
+            f"separator {i} missing at position {t[i] + i}")
     return "".join(chunks)
 
 
 def interleave_decompressor(g):
     """The rebuild step for interleaved streams: given enough raw bits,
     regenerate any n-bit prefix of the padded stream. g is a
-    non-decreasing ``BoundFunction``, read through its table. For each
-    n the layout (the k separators below n, hence n - k data bits, and
-    the block boundaries) is worked out once and kept until a different
-    n is asked for; a seed shorter than n - k is padded with zeros.
-    Cost is reported as one step per emitted bit.
+    non-decreasing ``BoundFunction``. The first n padded bits hold the
+    k separators below n, for the fewest k with g(k) + k >= n, so run
+    interleaves the seed through g's layout at k (computed once per
+    instance, non-empty blocks only) and cuts the result to n bits; a
+    seed shorter than g(k) is padded with zeros. Cost is reported as
+    one step per emitted bit.
     """
-    layout = (None, None)
-
     def run(seed, n):
-        nonlocal layout
-        key, cuts = layout
-        if key != n:
-            full = _cuts(g, n)
-            k = next(i for i, c in enumerate(full[1:]) if c + i >= n)
-            cuts = full[:k + 1] + [n - k]
-            layout = (n, cuts)
-        data = seed[:cuts[-1]].ljust(cuts[-1], "0")
-        return "0".join([data[a:b] for a, b in zip(cuts, cuts[1:])]), n
+        lay = _layout(g, _layout(g, n).cover)
+        data = seed[:lay.bits].ljust(lay.bits, "0")
+        return lay.fill(*lay.take(data))[:n], n
 
     return Decompressor(name=f"unzip[{g.name}]", run=run)
 

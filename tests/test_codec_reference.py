@@ -8,7 +8,7 @@ the decompressor walking its output one position at a time.  They call
 the bound only through ``g(i)``, so they share no slicing with the code
 under test.  Every comparison demands the same string, or the same
 error type and message.  The ``BoundFunction`` tests pin what the table
-may and may not store.
+and the per-length codec layouts may and may not store.
 """
 
 import random
@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exactrnn import nonuniform
 from exactrnn.errors import MalformedInterleaving, PreconditionViolated
 from exactrnn.nonuniform import (
     BoundFunction,
@@ -257,3 +258,95 @@ def test_negative_lengths_never_read_the_table():
     with pytest.raises(ValueError, match=r"id\(-1\) = -1"):
         g(-1)
     assert calls == [0, 1, 2, 3, -1]
+
+
+# ------------------------------------------------------------ the layouts
+
+
+def assert_codec_matches(g, g_ref, values, word, n):
+    """interleave, recover_prefix (on the padded prefix and with one
+    separator hit) and a decompressor run on a cut seed, at length n,
+    against the references."""
+    r = BitStream.from_word(word)
+    s = interleave(r, g, n)
+    assert s == reference_interleave(BitStream.from_word(word), g_ref, n)
+    inputs = [s, s + "1"]
+    if n:
+        i = n // 2
+        p = values[i] + i
+        inputs.append(s[:p] + "1" + s[p + 1:])
+    for text in inputs:
+        assert (outcome(recover_prefix, text, g, n)
+                == outcome(reference_recover_prefix, text, g_ref, n))
+    seed = word[:n // 2]
+    assert (interleave_decompressor(g).run(seed, n)
+            == reference_run(g_ref)(seed, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bound_values(), bit_words,
+       st.lists(st.integers(0, N_MAX), min_size=1, max_size=12))
+def test_one_bound_serves_lengths_in_any_order(values, word, lengths):
+    """One instance, reused across a shuffled run of lengths with
+    repeats and a descending stretch, answers like a fresh reference
+    at every step."""
+    g, g_ref = twin_bounds(values)
+    for n in lengths + sorted(lengths, reverse=True) + lengths:
+        assert_codec_matches(g, g_ref, values, word, n)
+
+
+@pytest.mark.parametrize("values", [
+    [0] * 10,                   # no block has data
+    [3] * 10,                   # only block 0 has data
+    [0, 0, 0, 2, 2, 2, 2, 2, 2, 2],   # only block 3 has data
+    [0, 0, 1, 1, 4, 4, 4, 4, 4, 4],   # two blocks have data
+], ids=["none", "first", "middle", "two"])
+def test_layouts_with_at_most_two_data_blocks(values):
+    g, g_ref = twin_bounds(values)
+    for n in range(len(values) - 1):
+        assert_codec_matches(g, g_ref, values, "1101", n)
+        assert_codec_matches(g, g_ref, values, "", n)
+
+
+@pytest.mark.parametrize("fn, message", [
+    ([0, 1, 3, 2, 4, 5].__getitem__, "dip(3) = 2 is below dip(2) = 3"),
+    (lambda n: -1 if n == 3 else n, "dip(3) = -1, want a length"),
+])
+def test_an_invalid_bound_stores_no_layout(fn, message):
+    g = BoundFunction("dip", fn)
+    values = [fn(n) for n in range(3)]
+    r = BitStream.from_word("10110")
+    for _ in range(3):
+        for call in (lambda: interleave(r, g, 3),
+                     lambda: interleave(r, g, 5),
+                     lambda: recover_prefix("0" * 20, g, 4),
+                     lambda: interleave_decompressor(g).run("1", 8)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
+            assert not g._layouts
+    assert_codec_matches(g, BoundFunction("ref", fn), values, "10110", 2)
+
+
+def test_layouts_take_no_part_in_equality_or_hash():
+    fn = lambda n: (n + 1).bit_length()  # noqa: E731
+    a, b = BoundFunction("bits", fn), BoundFunction("bits", fn)
+    for n in (7, 0, 30, 7):
+        interleave(BitStream.from_word("1"), a, n)
+        recover_prefix(interleave(BitStream.from_word("1"), a, n), a, n)
+    assert len(a._layouts) == 3 and not b._layouts
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+
+
+def test_stored_layouts_keep_to_their_block_budget(monkeypatch):
+    """Past the budget a layout is built for the call and not stored;
+    the answers do not change."""
+    monkeypatch.setattr(nonuniform, "LAYOUT_BLOCKS", 40)
+    values = list(range(N_MAX + 1))      # block i has data for i >= 1
+    g, g_ref = twin_bounds(values)
+    for n in list(range(20)) + [3, 15, 12]:
+        assert_codec_matches(g, g_ref, values, "0110100", n)
+    # lengths 0..8 hold 0 + 1 + ... + 8 = 36 blocks; 9 more would make 45
+    assert sorted(g._layouts) == list(range(9))
+    assert g._layouts.blocks == 36

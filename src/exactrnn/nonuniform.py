@@ -30,6 +30,7 @@ Everything here is exact and deterministic; randomness appears only in
 the test harnesses that drive these functions.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, NamedTuple
@@ -50,8 +51,8 @@ from .words import check_bitword
 # blocks in all, about 180 bytes each. A sparse bound (log2, sqrt)
 # stays far below it at the lengths a run reaches. A dense one
 # (identity, double) holds about n**2 / 2 blocks for the lengths up to
-# n, so its layouts past length 511 are rebuilt on every call instead
-# of growing memory with the square of the length.
+# n, so its layouts past length 511 are not stored; memory would
+# otherwise grow with the square of the length.
 LAYOUT_BLOCKS = 1 << 17
 
 
@@ -288,10 +289,10 @@ def validate_reasonable(members, n_max, p_samples=(), n_min=1,
 class _Layout(NamedTuple):
     """The separator layout of one bound at one length n: the g(n)
     data bits, the fewest separators k with g(k) + k >= n, and three
-    callables over the non-empty blocks. ``take`` cuts them out of the
-    g(n) data bits, ``shifted`` out of the g(n) + n padded bits, and
-    ``fill`` joins them back into the padded bits through a template
-    that holds the separator runs between them."""
+    callables over the data blocks (the non-empty ones in a stored
+    layout). ``take`` cuts them out of the g(n) data bits, ``shifted``
+    out of the g(n) + n padded bits, and ``fill`` joins them back into
+    the padded bits with the separators between them."""
 
     bits: int
     cover: int
@@ -307,8 +308,10 @@ def _layout(g, n):
     those zeros into runs and the slices name non-empty blocks only.
     A layout is stored only after ``g.table`` has validated g(0..n), so
     an invalid bound raises on every call and stores nothing. Layouts
-    are stored while the instance holds at most LAYOUT_BLOCKS blocks in
-    all; past that, each call builds its own.
+    are stored while the instance holds at most LAYOUT_BLOCKS non-empty
+    blocks in all. Past that, a call gets an unstored layout that
+    slices every block when called and joins them with single zeros,
+    cheap to build for the one call it serves.
     """
     stored = g._layouts
     lay = stored.get(n)
@@ -317,23 +320,31 @@ def _layout(g, n):
     if n < 0:
         raise PreconditionViolated(f"need a block count, got {n}")
     t = g.table(n + 1)
-    blocks = [(i, a, b) for i, (a, b) in enumerate(zip([0] + t, t)) if a < b]
+    cuts = [0] + t
+    cover = bisect_left(range(n + 1), n, key=lambda i: t[i] + i)
+    size = len(set(cuts)) - 1       # the non-empty blocks
+    if stored.blocks + size > LAYOUT_BLOCKS:
+        return _Layout(
+            bits=t[n], cover=cover,
+            take=lambda d: [d[a:b] for a, b in zip(cuts, t)],
+            shifted=lambda s: [s[a + i:b + i]
+                               for i, (a, b) in enumerate(zip(cuts, t))],
+            fill=lambda *chunks: "0".join(chunks))
+    blocks = [(i, a, b) for i, (a, b) in enumerate(zip(cuts, t)) if a < b]
     marks = [0] + [i for i, _, _ in blocks] + [n]
     # two empty leading fields keep itemgetter's result a tuple: it
     # takes no empty argument list, and for one slice it returns a bare
     # string, which the call would unpack character by character
     none = slice(0, 0)
     lay = _Layout(
-        bits=t[n],
-        cover=next(i for i, c in enumerate(t) if c + i >= n),
+        bits=t[n], cover=cover,
         take=itemgetter(none, none, *[slice(a, b) for _, a, b in blocks]),
         shifted=itemgetter(none, none,
                            *[slice(a + i, b + i) for i, a, b in blocks]),
         fill=("{}{}" + "{}".join("0" * (j - i)
                                  for i, j in zip(marks, marks[1:]))).format)
-    if stored.blocks + len(blocks) <= LAYOUT_BLOCKS:
-        stored[n] = lay
-        stored.blocks += len(blocks)
+    stored[n] = lay
+    stored.blocks += size
     return lay
 
 

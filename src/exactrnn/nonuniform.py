@@ -13,9 +13,11 @@ raw material, bit strings indexed by input length:
   as a ``BoundFunction`` and read it through that instance's table, so
   each schedule value is evaluated once however many lengths and seeds
   are checked. From the table each instance computes, once per length,
-  a layout that covers only the non-empty blocks: their slices and one
-  template for the separator runs between them, so a codec call costs
-  a fixed number of string operations, not a step per block.
+  a layout. Where few blocks hold data (log2 and sqrt bounds) it
+  covers only the non-empty blocks: their slices and one template for
+  the separator runs between them. Elsewhere it cuts every block with
+  one itemgetter over slices that all lengths share. Either way a codec
+  call takes no Python step per block.
 * ``halving_diagonal`` builds, by repeated minority voting over a
   candidate window, a set of same-length words that no member of a
   given finite family equals.
@@ -30,7 +32,6 @@ Everything here is exact and deterministic; randomness appears only in
 the test harnesses that drive these functions.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, NamedTuple
@@ -47,20 +48,6 @@ from .errors import (
 from .machines import Advice, SYMBOLS, TmaSpec
 from .words import check_bitword
 
-# The stored layouts of one bound hold at most this many non-empty
-# blocks in all, about 180 bytes each. A sparse bound (log2, sqrt)
-# stays far below it at the lengths a run reaches. A dense one
-# (identity, double) holds about n**2 / 2 blocks for the lengths up to
-# n, so its layouts past length 511 are not stored; memory would
-# otherwise grow with the square of the length.
-LAYOUT_BLOCKS = 1 << 17
-
-
-class _Layouts(dict):
-    """Stored codec layouts by length, with their block count in all."""
-
-    blocks = 0
-
 
 @dataclass(frozen=True)
 class BoundFunction:
@@ -73,9 +60,10 @@ class BoundFunction:
     non-decreasing run of valid lengths: a value that fails validation,
     or that falls below its predecessor, raises ValueError and is never
     stored. The interleaving codec also keeps on the instance one
-    separator layout per length, computed once from the table and
-    covering only the non-empty blocks. Neither the table nor the
-    layouts take part in equality or hashing. validate_reasonable
+    separator layout per length, computed once from the table and,
+    where few blocks hold data, covering only the non-empty ones.
+    Neither the table nor the layouts (nor the block slices they
+    share) take part in equality or hashing. validate_reasonable
     checks monotonicity pointwise on its range."""
 
     name: str
@@ -83,7 +71,9 @@ class BoundFunction:
     poly_computable: bool = True
     _table: list = field(default_factory=list, init=False, repr=False,
                          compare=False)
-    _layouts: dict = field(default_factory=_Layouts, init=False,
+    _layouts: dict = field(default_factory=dict, init=False,
+                           repr=False, compare=False)
+    _slices: tuple = field(default_factory=lambda: ([], []), init=False,
                            repr=False, compare=False)
 
     def __call__(self, n):
@@ -288,63 +278,75 @@ def validate_reasonable(members, n_max, p_samples=(), n_min=1,
 
 class _Layout(NamedTuple):
     """The separator layout of one bound at one length n: the g(n)
-    data bits, the fewest separators k with g(k) + k >= n, and three
-    callables over the data blocks (the non-empty ones in a stored
-    layout). ``take`` cuts them out of the g(n) data bits, ``shifted``
-    out of the g(n) + n padded bits, and ``fill`` joins them back into
-    the padded bits with the separators between them."""
+    data bits and four callables over the data blocks. ``take`` cuts
+    them out of the g(n) data bits, ``shifted`` out of the g(n) + n
+    padded bits, and ``fill`` joins them back into the padded bits with
+    the separators between them, taking the blocks as one sequence.
+    ``head`` is ``take`` for a caller that keeps only the first n
+    padded bits: it may leave out the blocks that start past them."""
 
     bits: int
-    cover: int
     take: Callable
+    head: Callable
     shifted: Callable
     fill: Callable
 
 
 def _layout(g, n):
-    """The layout of g at length n, built once per instance and length.
+    """Build and store the layout of g at length n. Callers look it up
+    in ``g._layouts`` themselves and call this only on a miss, which
+    saves a Python call per codec call.
 
-    An empty block adds only its separator, so the template merges
-    those zeros into runs and the slices name non-empty blocks only.
-    A layout is stored only after ``g.table`` has validated g(0..n), so
-    an invalid bound raises on every call and stores nothing. Layouts
-    are stored while the instance holds at most LAYOUT_BLOCKS non-empty
-    blocks in all. Past that, a call gets an unstored layout that
-    slices every block when called and joins them with single zeros,
-    cheap to build for the one call it serves.
+    An empty block adds only its separator. Where at most
+    2 * sqrt(n + 1) blocks hold data (log2 and sqrt bounds do), one
+    template merges those zeros into runs and the layout names the
+    non-empty blocks only, so the layouts of all lengths up to n refer
+    to O(n**1.5) slices. Where more do (identity, double), such layouts
+    would refer to about n**2 / 2; there a layout names no blocks and
+    cuts all of them per call, through an itemgetter built from the
+    shared slices, and its ``head`` stops at the fewest separators k
+    with g(k) + k >= n. A layout is stored only after ``g.table`` has
+    validated g(0..n), so an invalid bound raises on every call and
+    stores nothing.
     """
-    stored = g._layouts
-    lay = stored.get(n)
-    if lay is not None:
-        return lay
     if n < 0:
         raise PreconditionViolated(f"need a block count, got {n}")
     t = g.table(n + 1)
     cuts = [0] + t
-    cover = bisect_left(range(n + 1), n, key=lambda i: t[i] + i)
+    # block i has the same slices at every length past i, so all the
+    # layouts of g share one growing list of them per side
+    on_data, on_padded = g._slices
+    for i in range(len(on_data), n + 1):
+        on_data.append(slice(cuts[i], t[i]))
+        on_padded.append(slice(cuts[i] + i, t[i] + i))
     size = len(set(cuts)) - 1       # the non-empty blocks
-    if stored.blocks + size > LAYOUT_BLOCKS:
-        return _Layout(
-            bits=t[n], cover=cover,
-            take=lambda d: [d[a:b] for a, b in zip(cuts, t)],
-            shifted=lambda s: [s[a + i:b + i]
-                               for i, (a, b) in enumerate(zip(cuts, t))],
-            fill=lambda *chunks: "0".join(chunks))
-    blocks = [(i, a, b) for i, (a, b) in enumerate(zip(cuts, t)) if a < b]
-    marks = [0] + [i for i, _, _ in blocks] + [n]
-    # two empty leading fields keep itemgetter's result a tuple: it
-    # takes no empty argument list, and for one slice it returns a bare
-    # string, which the call would unpack character by character
-    none = slice(0, 0)
-    lay = _Layout(
-        bits=t[n], cover=cover,
-        take=itemgetter(none, none, *[slice(a, b) for _, a, b in blocks]),
-        shifted=itemgetter(none, none,
-                           *[slice(a + i, b + i) for i, a, b in blocks]),
-        fill=("{}{}" + "{}".join("0" * (j - i)
-                                 for i, j in zip(marks, marks[1:]))).format)
-    stored[n] = lay
-    stored.blocks += size
+    if size * size <= 4 * (n + 1):
+        blocks = [i for i, (a, b) in enumerate(zip(cuts, t)) if a < b]
+        marks = [0] + blocks + [n]
+        zeros = ["0" * (j - i) for i, j in zip(marks, marks[1:])]
+        # two empty leading slices keep itemgetter's result a tuple: it
+        # takes no empty argument list, and for one slice it returns a
+        # bare string, whose characters the fields would index
+        none = slice(0, 0)
+        take = itemgetter(none, none, *[on_data[i] for i in blocks])
+        lay = _Layout(
+            bits=t[n],
+            take=take,
+            head=take,
+            shifted=itemgetter(none, none, *[on_padded[i] for i in blocks]),
+            fill=(zeros[0] + "".join("{0[%d]}%s" % field for field
+                                     in enumerate(zeros[1:], 2))).format)
+    else:
+        # a dense n is at least 4, so each itemgetter gets at least two
+        # slices (head too, by k >= 1) and returns a tuple
+        k = max(1, next(i for i in range(n + 1) if t[i] + i >= n))
+        lay = _Layout(
+            bits=t[n],
+            take=lambda d: itemgetter(*on_data[:n + 1])(d),
+            head=lambda d: itemgetter(*on_data[:k + 1])(d),
+            shifted=lambda s: itemgetter(*on_padded[:n + 1])(s),
+            fill="0".join)
+    g._layouts[n] = lay
     return lay
 
 
@@ -354,10 +356,11 @@ def interleave(r, g, n):
     g(i) + i. Returns the first g(n) + n bits of the padded stream,
     which end exactly with block n. g is a non-decreasing
     ``BoundFunction``; its layout at n is computed once per instance
-    and covers only the non-empty blocks. Blocks may be empty.
+    and, where few blocks hold data, covers only the non-empty ones.
+    Blocks may be empty.
     """
-    lay = _layout(g, n)
-    return lay.fill(*lay.take(r.prefix(lay.bits)))
+    lay = g._layouts.get(n) or _layout(g, n)
+    return lay.fill(lay.take(r.prefix(lay.bits)))
 
 
 def recover_prefix(s_prefix, g, n):
@@ -365,18 +368,19 @@ def recover_prefix(s_prefix, g, n):
     g(i) + i and return the g(n) data bits that remain. The input must
     cover at least g(n) + n positions (interleave's own output does).
     g is a non-decreasing ``BoundFunction``; its layout at n is
-    computed once per instance, and the non-empty blocks are cut out
-    of the input and joined back through it to check the separators.
+    computed once per instance (non-empty blocks only, where few hold
+    data), and the blocks are cut out of the input and joined back
+    through it to check the separators.
     """
     check_bitword(s_prefix)
-    lay = _layout(g, n)
+    lay = g._layouts.get(n) or _layout(g, n)
     need = lay.bits + n
     if len(s_prefix) < need:
         raise PreconditionViolated(
             f"need {need} interleaved bits to recover {n} blocks, "
             f"got {len(s_prefix)}")
     chunks = lay.shifted(s_prefix)
-    if lay.fill(*chunks) != s_prefix[:need]:
+    if lay.fill(chunks) != s_prefix[:need]:
         t = g.table(n)
         i = next(i for i, c in enumerate(t) if s_prefix[c + i] != "0")
         raise MalformedInterleaving(
@@ -387,17 +391,19 @@ def recover_prefix(s_prefix, g, n):
 def interleave_decompressor(g):
     """The rebuild step for interleaved streams: given enough raw bits,
     regenerate any n-bit prefix of the padded stream. g is a
-    non-decreasing ``BoundFunction``. The first n padded bits hold the
-    k separators below n, for the fewest k with g(k) + k >= n, so run
-    interleaves the seed through g's layout at k (computed once per
-    instance, non-empty blocks only) and cuts the result to n bits; a
-    seed shorter than g(k) is padded with zeros. Cost is reported as
-    one step per emitted bit.
+    non-decreasing ``BoundFunction``. The padded stream's first n bits
+    depend only on the data that lands before position n, so run
+    interleaves the seed through g's layout at n (computed once per
+    instance, non-empty blocks only where few hold data) and cuts the
+    result to n bits; a seed shorter than g(n) is padded with zeros.
+    Cost is reported as one step per emitted bit.
     """
+    layouts = g._layouts
+
     def run(seed, n):
-        lay = _layout(g, _layout(g, n).cover)
+        lay = layouts.get(n) or _layout(g, n)
         data = seed[:lay.bits].ljust(lay.bits, "0")
-        return lay.fill(*lay.take(data))[:n], n
+        return lay.fill(lay.head(data))[:n], n
 
     return Decompressor(name=f"unzip[{g.name}]", run=run)
 

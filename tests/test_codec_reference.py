@@ -12,12 +12,12 @@ and the per-length codec layouts may and may not store.
 """
 
 import random
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactrnn import nonuniform
 from exactrnn.errors import MalformedInterleaving, PreconditionViolated
 from exactrnn.nonuniform import (
     BoundFunction,
@@ -324,7 +324,7 @@ def test_an_invalid_bound_stores_no_layout(fn, message):
             with pytest.raises(ValueError) as err:
                 call()
             assert str(err.value) == message
-            assert not g._layouts
+            assert not g._layouts and g._slices == ([], [])
     assert_codec_matches(g, BoundFunction("ref", fn), values, "10110", 2)
 
 
@@ -339,14 +339,31 @@ def test_layouts_take_no_part_in_equality_or_hash():
     assert {a: 1}[b] == 1
 
 
-def test_stored_layouts_keep_to_their_block_budget(monkeypatch):
-    """Past the budget a layout is built for the call and not stored;
-    the answers do not change."""
-    monkeypatch.setattr(nonuniform, "LAYOUT_BLOCKS", 40)
-    values = list(range(N_MAX + 1))      # block i has data for i >= 1
+def test_only_sparse_lengths_keep_block_slices():
+    """A layout keeps slices of the non-empty blocks only where at most
+    2 * sqrt(n + 1) blocks hold data; elsewhere it cuts every block from
+    the table when called. The answers are the references' either way."""
+    values = [0] * 20 + list(range(1, N_MAX - 18))  # data from block 20 on
     g, g_ref = twin_bounds(values)
-    for n in list(range(20)) + [3, 15, 12]:
-        assert_codec_matches(g, g_ref, values, "0110100", n)
-    # lengths 0..8 hold 0 + 1 + ... + 8 = 36 blocks; 9 more would make 45
-    assert sorted(g._layouts) == list(range(9))
-    assert g._layouts.blocks == 36
+    for n in list(range(N_MAX)) + [40, 3, 30, 31]:
+        assert_codec_matches(g, g_ref, values, "0110100" * 7, n)
+    # at n = 30, 11 blocks hold data and 11**2 <= 4 * 31; at 31, 12 do
+    sparse = {n for n, lay in g._layouts.items()
+              if isinstance(lay.take, itemgetter)}
+    assert sorted(g._layouts) == list(range(N_MAX))
+    assert sparse == set(range(31))
+
+
+def test_a_dense_first_block_may_reach_n_alone():
+    """Block 0 holds 10 bits, so below length 10 no separator is needed
+    before position n; the decompressor still rebuilds the prefix."""
+    values = list(range(10, 11 + N_MAX))    # every block has data
+    g, g_ref = twin_bounds(values)
+    word = "0110100" * 12
+    for n in range(4, 12):
+        assert_codec_matches(g, g_ref, values, word, n)
+        for seed in (word, word[:3], ""):
+            assert (interleave_decompressor(g).run(seed, n)
+                    == reference_run(g_ref)(seed, n))
+    assert not any(isinstance(lay.take, itemgetter)
+                   for lay in g._layouts.values())

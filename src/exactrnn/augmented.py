@@ -41,8 +41,8 @@ from .errors import (
     PreconditionViolated, ProtocolViolation, Timeout, UndefinedThreshold,
 )
 from .machines import (
-    BLANK, Row, StackMachineSpec, TERMINALS, bpp_decide, loader_rows,
-    main_rule_rows, ptm_run_with_choices,
+    BLANK, Row, StackMachineSpec, TERMINALS, bpp_decide, check_main_rule,
+    loader_rows, main_rule_rows, ptm_run_with_choices,
 )
 from .network import Decision, RnnConfig, check_protocol, drive, run_word, step
 from .words import (
@@ -369,8 +369,6 @@ def _lift_evolving(cfg):
         w_in = {}
         for (i, c), wt in cfg.w_in.items():
             w_in[(i, 3 if c == 2 else c)] = wt
-        if (0, 2) in w_in:
-            raise ValueError("cell 0 already reads the stochastic line")
         w_in[(0, 2)] = as_rat(1)
         return RnnConfig(k=cfg.k, w_in=w_in, w_res=cfg.w_res, w_out=cfg.w_out,
                          h0=cfg.h0, n_in=3, cell_names=cfg.cell_names)
@@ -521,15 +519,6 @@ def calibrate_c(spec, corpus, f, c_max=64):
 # advice machine -> stack program, analog flavor and replay flavor
 
 
-def _check_main_rule(q, a, wr, mv):
-    if wr == BLANK and not (a == BLANK and mv in ("L", "S")):
-        raise PreconditionViolated(
-            f"rule at ({q},{a}) erases a written main cell")
-    if a == BLANK and mv == "R":
-        raise PreconditionViolated(
-            f"rule at ({q},{a}) walks right through main blanks")
-
-
 def _expand_advice(m):
     """Concrete (state, main, advice) -> rule table with wildcards
     resolved, plus the keys that were written out explicitly; advice
@@ -592,7 +581,7 @@ def _tma_rows(m, fetch_stack, on_underflow):
         ]
 
     for i, ((q, a, adv), (wr, mv, amv, q2)) in enumerate(sorted(table.items())):
-        _check_main_rule(q, a, wr, mv)
+        check_main_rule(q, a, wr, mv)
         if adv == BLANK:
             if on_underflow:
                 continue            # replay flavor: advice never ends
@@ -867,6 +856,7 @@ def snn_run(s, w, tau, mode="exact", trials=1000, seed=0, budget=4096):
     if mode == "mc":
         if trials < 1:
             raise ValueError("trials must be positive")
+        _check_coin_stream(s.prob_stream)
         accepts = 0
         for i in range(trials):
             coins = _FairBits(random.Random(seed * 2 ** 64 + i)).coins(
@@ -879,6 +869,14 @@ def snn_run(s, w, tau, mode="exact", trials=1000, seed=0, budget=4096):
                          decision=Decision(bpp_decide(est), tau=tau),
                          mode="mc", tau=tau, trials=trials)
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _check_coin_stream(stream):
+    """Refuse a PRNG coin stream: seeded like a trial's generator, it
+    ties with the fair bits forever."""
+    if not stream.mathematical:
+        raise ValueError("coins need a mathematical probability stream, "
+                         "not pseudo-random bits")
 
 
 def _run_fixed(cfg, w, tau, bits):
@@ -916,6 +914,7 @@ def algo3_ptma_simulate_snn(s, f, w, seed, paired=False):
     to get the exact-probability coin of the same randomness, for
     measuring the divergence rate empirically.
     """
+    _check_coin_stream(s.prob_stream)
     n = len(w)
     fn = f(n)
     if fn < 1:

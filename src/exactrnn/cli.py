@@ -124,12 +124,13 @@ def load_json(path):
 
 
 def parse_spec(path, what, build):
-    """Run a spec parser; a missing key or a value of the wrong type or
-    range in the file is a usage error, not a crash.  AttributeError is
-    a list or a string where the parser expects an object."""
+    """Run a spec parser: a missing key, or a value of the wrong type or
+    range (a list where an object belongs, a zero denominator), in the
+    file is a usage error, not a crash."""
     try:
         return build()
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError,
+            ZeroDivisionError) as exc:
         raise UsageError(f"{path}: malformed {what} spec: {exc}") from exc
 
 
@@ -311,6 +312,9 @@ def cmd_stochastic_suite(args, rec):
     if sd.get("type") != "snn":
         raise UsageError(f"{args.snn}: not a stochastic network file")
     snn = parse_spec(args.snn, "network", lambda: SnnSpec.from_json(sd))
+    if snn.prob_stream.value in (None, 0, 1):
+        raise UsageError(f"{args.snn}: the coin needs a closed-form "
+                         "probability strictly between 0 and 1")
     pd = load_json(args.ptma)
     machine_of = _machine_of_advice(pd, args.ptma)
 

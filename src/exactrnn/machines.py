@@ -435,14 +435,8 @@ def tm_to_stack(m):
     Costs: loading the input takes 2n+2 steps, then each tape step
     costs 1 (move right), 2 (stay) or 3 (move left) stack steps.
     """
-    for (q, a), (b, mv, q2) in m.trans.items():
-        if b == BLANK and not (a == BLANK and mv in ("L", "S")):
-            raise PreconditionViolated(
-                f"rule ({q},{a})->({b},{mv},{q2}) erases a written cell")
-        if a == BLANK and mv == "R":
-            raise PreconditionViolated(
-                f"rule ({q},{a})->({b},{mv},{q2}) extends the tape while "
-                "leaving a blank behind")
+    for (q, a), (b, mv, _q2) in m.trans.items():
+        check_main_rule(q, a, b, mv)
 
     def tgt(q):
         return q if q in TERMINALS else f"m_{q}"
@@ -452,6 +446,18 @@ def tm_to_stack(m):
         rows += main_rule_rows(f"m_{q}", a, b, mv, tgt(q2),
                                (f"w_{q}_{a}", f"u_{q}_{a}", f"v_{q}_{a}"))
     return StackMachineSpec(stacks=("L", "R"), rows=rows, initial="load1")
+
+
+def check_main_rule(q, read, write, move):
+    """Refuse a rule at (q, read) that the main tape over L and R cannot
+    represent: one that erases a written cell, or walks right over a
+    blank, which would leave a gap inside R."""
+    if write == BLANK and not (read == BLANK and move in ("L", "S")):
+        raise PreconditionViolated(
+            f"rule at ({q},{read}) erases a written main cell")
+    if read == BLANK and move == "R":
+        raise PreconditionViolated(
+            f"rule at ({q},{read}) walks right through main blanks")
 
 
 def loader_rows(first_state, tap=None):
@@ -504,29 +510,26 @@ def main_rule_rows(state, read, write, move, nxt, mids, obs=None, ops=None):
 # probabilistic runs
 
 
-def _ptm_step(trans, state, tape, head):
-    sym = tape.get(head, BLANK)
+def _ptm_rule(trans, state, sym):
     rule = trans.get((state, sym))
     if rule is None:
         raise MachineStuck(f"no rule for ({state}, {sym})")
+    return tuple(rule)
+
+
+def _ptm_branch(rule, tape, head, steps, prob):
     write, move, nxt = rule
-    tape2 = dict(tape)
-    head2 = _apply_write_move(tape2, head, write, move)
-    return nxt, tape2, head2
-
-
-def _config_key(state, tape, head):
-    return state, tuple(sorted(tape.items())), head
+    return nxt, tape, _apply_write_move(tape, head, write, move), steps, prob
 
 
 def ptm_run_exact(m, w, bound, budget=10 ** 6):
     """Exact acceptance probability by branch enumeration.
 
-    Branches split only where the two transition maps actually lead to
-    different configurations, so deterministic stretches cost nothing.
-    budget caps the number of split events; bound caps per-branch
-    steps (exceeding it raises Timeout since a single unresolved branch
-    poisons the whole probability).
+    Branches split only where the two transition maps give different
+    rules, which always lead to different configurations, so
+    deterministic stretches cost nothing.  budget caps the number of split
+    events; bound caps per-branch steps (exceeding it raises Timeout
+    since a single unresolved branch poisons the whole probability).
     """
     check_bitword(w)
     accept_prob = as_rat(0)
@@ -541,17 +544,19 @@ def ptm_run_exact(m, w, bound, budget=10 ** 6):
             continue
         if steps >= bound:
             raise Timeout(f"branch still live after {bound} steps")
-        succ0 = _ptm_step(m.trans0, state, tape, head)
-        succ1 = _ptm_step(m.trans1, state, tape, head)
-        if _config_key(*succ0) == _config_key(*succ1):
-            pending.append((*succ0, steps + 1, prob))
-        else:
-            splits += 1
-            if splits > budget:
-                raise BudgetExceeded(f"more than {budget} branch splits")
-            half = prob / 2
-            pending.append((*succ0, steps + 1, half))
-            pending.append((*succ1, steps + 1, half))
+        sym = tape.get(head, BLANK)
+        rule0 = _ptm_rule(m.trans0, state, sym)
+        if tuple(m.trans1.get((state, sym), ())) == rule0:
+            pending.append(_ptm_branch(rule0, tape, head, steps + 1, prob))
+            continue
+        half = prob / 2
+        succ0 = _ptm_branch(rule0, dict(tape), head, steps + 1, half)
+        succ1 = _ptm_branch(_ptm_rule(m.trans1, state, sym), tape, head,
+                            steps + 1, half)
+        splits += 1
+        if splits > budget:
+            raise BudgetExceeded(f"more than {budget} branch splits")
+        pending += succ0, succ1
     return accept_prob
 
 

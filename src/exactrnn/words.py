@@ -253,19 +253,19 @@ def fair_word(rng, n):
 class BitStream:
     """Deterministic, memoized stream of bits indexed from 0.
 
-    Construct through the factories; `bit(i)` is repeatable, `prefix(n)`
-    is the first n bits as a word, sliced from one string that is
-    extended, to cover every bit read so far, only when a call asks for
-    more bits than it holds.  `value` is the exact binary-fraction
-    value sum bit(i)/2^(i+1) when a closed form is known (finite-tail and
-    eventually-periodic streams), else None.  `mathematical` is False
-    for PRNG-backed streams, which exist for tests and sampling, not as
-    mathematical objects.
+    Construct through the factories.  The bits read so far are one word,
+    extended from its end by the factory's more(i, j), bits i..j-1; a
+    call that raises stores nothing.  `prefix(n)` extends exactly to n
+    bits; `bit(i)` reads at least twice as far, so a walk stays linear,
+    except on `from_function`, whose fn, maybe costly or partial, sees
+    only the indices read.  `value` is the exact binary-fraction value
+    sum bit(i)/2^(i+1) when a closed form is known, else None.
+    `mathematical` is False for PRNG-backed streams, which exist for
+    tests and sampling.
     """
 
-    def __init__(self, fn, value=None, spec=None, mathematical=True):
-        self._fn = fn
-        self._memo = []
+    def __init__(self, more, value=None, spec=None, mathematical=True):
+        self._more = more
         self._text = ""
         self.value = value
         self._spec = spec
@@ -274,19 +274,19 @@ class BitStream:
     def bit(self, i):
         if i < 0:
             raise IndexError(i)
-        memo = self._memo
-        while len(memo) <= i:
-            memo.append(1 if self._fn(len(memo)) else 0)
-        return memo[i]
+        text = self._text
+        if i >= len(text):
+            # only a from_function stream has no spec
+            n = max(i + 1, 2 * len(text) if self._spec else 0)
+            self._text = text = text + self._more(len(text), n)
+        return 1 if text[i] == "1" else 0
 
     def prefix(self, n):
         if n < 0:
             raise ValueError(f"prefix length {n} is negative")
         text = self._text
         if n > len(text):
-            self.bit(n - 1)
-            text += "".join(map(str, self._memo[len(text):]))
-            self._text = text
+            self._text = text = text + self._more(len(text), n)
         return text[:n]
 
     # ---------------------------------------------------------- factories
@@ -300,8 +300,9 @@ class BitStream:
         val = binary_value(w)
         if tail_bit:
             val += Rat(1) / 2 ** len(w)
-        fn = lambda i, _w=w, _t=tail_bit: int(_w[i]) if i < len(_w) else _t
-        return cls(fn, value=val, spec={"kind": "word", "word": w, "tail": tail_bit})
+        tail = "1" if tail_bit else "0"
+        return cls(lambda i, j: (w + tail * (j - len(w)))[i:j], value=val,
+                   spec={"kind": "word", "word": w, "tail": tail_bit})
 
     @classmethod
     def from_periodic(cls, head, cycle):
@@ -312,11 +313,9 @@ class BitStream:
             raise ValueError("cycle must be nonempty; use from_word for finite tails")
         cval = Rat(int(cycle, 2)) / (2 ** len(cycle) - 1)
         val = binary_value(head) + cval / 2 ** len(head)
-
-        def fn(i, _h=head, _c=cycle):
-            return int(_h[i]) if i < len(_h) else int(_c[(i - len(_h)) % len(_c)])
-
-        return cls(fn, value=val, spec={"kind": "periodic", "head": head, "cycle": cycle})
+        h, c = len(head), len(cycle)
+        return cls(lambda i, j: (head + cycle * -((h - j) // c))[i:j],
+                   value=val, spec={"kind": "periodic", "head": head, "cycle": cycle})
 
     @classmethod
     def from_rational(cls, q):
@@ -328,38 +327,30 @@ class BitStream:
         q = as_rat(q)
         if not 0 <= q <= 1:
             raise ValueError(f"{q} outside [0, 1]")
-        state = {"r": q, "bits": []}
+        r, d = q.numerator, q.denominator      # the remainder is r/d
 
-        def fn(i):
-            bits = state["bits"]
-            while len(bits) <= i:
-                r2 = state["r"] * 2
-                b = 1 if r2 >= 1 else 0
-                state["r"] = r2 - b
-                bits.append(b)
-            return bits[i]
+        def more(i, j):
+            nonlocal r
+            k = j - i
+            # the remainder stays in [0, 1]; at 1 every bit is 1
+            v = min((r << k) // d, (1 << k) - 1)
+            r = (r << k) - v * d
+            return format(v, f"0{k}b")
 
-        return cls(fn, value=q, spec={"kind": "rational", "value": rat_str(q)})
+        return cls(more, value=q, spec={"kind": "rational", "value": rat_str(q)})
 
     @classmethod
     def from_function(cls, fn, value=None):
         """Arbitrary algorithmic stream; not serializable."""
-        return cls(lambda i: 1 if fn(i) else 0, value=value, spec=None)
+        return cls(lambda i, j: "".join("1" if fn(k) else "0" for k in range(i, j)),
+                   value=value, spec=None)
 
     @classmethod
     def from_prng(cls, seed):
         """Seeded pseudo-random bits; repeatable but flagged non-mathematical."""
         rng = random.Random(seed)
-        state = {"bits": []}
-
-        def fn(i):
-            bits = state["bits"]
-            while len(bits) <= i:
-                bits.append(rng.getrandbits(1))
-            return bits[i]
-
-        return cls(fn, value=None, spec={"kind": "prng", "seed": seed},
-                   mathematical=False)
+        return cls(lambda i, j: fair_word(rng, j - i), value=None,
+                   spec={"kind": "prng", "seed": seed}, mathematical=False)
 
     # ------------------------------------------------------ serialization
 
@@ -383,4 +374,4 @@ class BitStream:
 
     def __repr__(self):
         tag = self._spec["kind"] if self._spec else "function"
-        return f"<BitStream {tag} {self.prefix(min(12, len(self._memo) or 8))}...>"
+        return f"<BitStream {tag} {self.prefix(min(12, len(self._text) or 8))}...>"

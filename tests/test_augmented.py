@@ -410,6 +410,17 @@ def test_exact_enumeration_respects_its_budget():
                 "", 4)
 
 
+def test_coins_refuse_pseudo_random_streams():
+    # a trial generator seeded like the stream would tie it forever
+    s = majority3_snn(BitStream.from_prng(1))
+    with pytest.raises(ValueError, match="mathematical"):
+        snn_run(s, "", 4, mode="mc", seed=0, trials=2)
+    for paired in (False, True):
+        with pytest.raises(ValueError, match="mathematical"):
+            algo3_ptma_simulate_snn(s, lambda _n: 4, "", seed=1,
+                                    paired=paired)
+
+
 def test_stream_coin_matches_its_probability():
     st2 = two_thirds_stream()
     coins = _FairBits(random.Random(5)).coins(st2)

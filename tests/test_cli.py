@@ -141,6 +141,20 @@ def test_verify_corrupted_weight_names_witness(tmp_path, parity_files):
                and not r["agree"] for r in recs)
 
 
+def test_verify_zero_denominator_exits_2(tmp_path, parity_files, capsys):
+    mp, np = parity_files
+    cp = write_corpus(tmp_path / "corpus.txt", ["", "1"])
+    for field, index in (("w_res", 7), ("h0", 0)):
+        d = json.loads(open(np).read())
+        if field == "h0":
+            d["cfg"]["h0"][index] = "1/0"
+        else:
+            d["cfg"][field][index][2] = "1/0"
+        bad = write_json(tmp_path / "bad.rnn", d)
+        assert main(["verify", mp, bad, "--corpus", cp]) == 2
+        assert_one_error(capsys, "malformed network spec")
+
+
 def test_verify_empty_corpus_warns_and_passes(tmp_path, parity_files, capsys):
     mp, np = parity_files
     cp = tmp_path / "empty.txt"
@@ -344,6 +358,24 @@ def test_stochastic_suite_usage_errors(tmp_path, suite_files):
     for steps in ("0", "-3"):
         assert main(["stochastic-suite", sp, pp, "--trials", "5",
                      "--max-steps", steps, "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+def test_stochastic_suite_refuses_coins_without_a_probability(
+        tmp_path, suite_files, capsys):
+    sp, pp = suite_files
+    d = json.loads(open(sp).read())
+    out = tmp_path / "records.jsonl"
+    for stream, text in (({"kind": "rational", "value": "1/0"},
+                          "malformed network spec"),
+                         ({"kind": "prng", "seed": 1}, "closed-form"),
+                         ({"kind": "rational", "value": "0"}, "closed-form"),
+                         ({"kind": "word", "word": "", "tail": 1},
+                          "closed-form")):
+        bad = write_json(tmp_path / "bad.snn", {**d, "prob_stream": stream})
+        assert main(["stochastic-suite", bad, pp, "--trials", "5",
+                     "--out", str(out)]) == 2
+        assert_one_error(capsys, text)
         assert not out.exists()
 
 

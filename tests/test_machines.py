@@ -6,7 +6,10 @@ machines (fair coin 1/2, two-tails-reject 3/4).
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from exactrnn.augmented import tma_to_stack
 from exactrnn.errors import (
     BppViolation,
     BudgetExceeded,
@@ -16,12 +19,15 @@ from exactrnn.errors import (
     Timeout,
 )
 from exactrnn.machines import (
+    BLANK,
     Advice,
     PtmSpec,
     Row,
     StackMachineSpec,
     TmaSpec,
     TmSpec,
+    _apply_write_move,
+    _tape_of,
     advice_from_stream,
     bpp_decide,
     ptm_run_exact,
@@ -267,6 +273,17 @@ def test_convert_rejects_blank_writes():
         tm_to_stack(TmSpec(trans=t, initial="s"))
 
 
+def test_tape_and_advice_transforms_refuse_a_rule_alike():
+    for write, move, read in (("_", "R", "1"), ("0", "R", "_")):
+        tm = TmSpec({("s", read): (write, move, "accept")}, "s")
+        tma = TmaSpec({("s", read, "*"): (write, move, "S", "accept")}, "s")
+        with pytest.raises(PreconditionViolated) as tape_error:
+            tm_to_stack(tm)
+        with pytest.raises(PreconditionViolated) as advice_error:
+            tma_to_stack(tma)
+        assert str(tape_error.value) == str(advice_error.value)
+
+
 def test_convert_rejects_rightward_blank_skip():
     t = {("s", "0"): ("0", "R", "s"),
          ("s", "1"): ("1", "R", "s"),
@@ -399,6 +416,84 @@ def test_ptm_branch_timeout():
     m = PtmSpec(trans0=d0, trans1=d1, initial="s")
     with pytest.raises(Timeout):
         ptm_run_exact(m, "", 8)
+
+
+def reference_ptm_run_exact(m, w, bound, budget):
+    """ptm_run_exact as it split before: on whole successor
+    configurations, each with its own copy of the tape."""
+    def succ(trans, state, tape, head):
+        sym = tape.get(head, BLANK)
+        rule = trans.get((state, sym))
+        if rule is None:
+            raise MachineStuck(f"no rule for ({state}, {sym})")
+        write, move, nxt = rule
+        tape2 = dict(tape)
+        return nxt, tape2, _apply_write_move(tape2, head, write, move)
+
+    def key(state, tape, head):
+        return state, tuple(sorted(tape.items())), head
+
+    accept_prob = R(0)
+    pending = [(m.initial, _tape_of(w), 0, 0, R(1))]
+    splits = 0
+    while pending:
+        state, tape, head, steps, prob = pending.pop()
+        if state == "accept":
+            accept_prob += prob
+            continue
+        if state == "reject":
+            continue
+        if steps >= bound:
+            raise Timeout(f"branch still live after {bound} steps")
+        succ0 = succ(m.trans0, state, tape, head)
+        succ1 = succ(m.trans1, state, tape, head)
+        if key(*succ0) == key(*succ1):
+            pending.append((*succ0, steps + 1, prob))
+        else:
+            splits += 1
+            if splits > budget:
+                raise BudgetExceeded(f"more than {budget} branch splits")
+            half = prob / 2
+            pending.append((*succ0, steps + 1, half))
+            pending.append((*succ1, steps + 1, half))
+    return accept_prob
+
+
+PTM_STATES = ("a", "b", "c")
+ptm_rules = st.tuples(st.sampled_from("01_"), st.sampled_from("LSR"),
+                      st.sampled_from(PTM_STATES + ("accept", "reject")))
+
+
+@st.composite
+def random_ptms(draw):
+    """Transition maps with a rule missing here and there; trans1 often
+    repeats trans0's rule, so runs mix deterministic stretches with
+    splits."""
+    trans0, trans1 = {}, {}
+    for key in [(q, a) for q in PTM_STATES for a in "01_"]:
+        rule0 = draw(ptm_rules)
+        pick = draw(st.integers(min_value=0, max_value=9))
+        rule1 = rule0 if pick < 5 else draw(ptm_rules)
+        if pick != 9:
+            trans0[key] = rule0
+        if pick != 8:
+            trans1[key] = rule1
+    return PtmSpec(trans0=trans0, trans1=trans1, initial="a")
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # both sides must raise alike
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_ptms(), st.text(alphabet="01", max_size=4),
+       st.integers(min_value=0, max_value=12))
+def test_ptm_exact_matches_the_configuration_split(m, w, budget):
+    assert outcome(ptm_run_exact, m, w, 8, budget) == \
+        outcome(reference_ptm_run_exact, m, w, 8, budget)
 
 
 def test_ptm_mc_deterministic():

@@ -14,10 +14,12 @@ finite realization here:
     per-step probability; acceptance follows the two-thirds rule over
     the acceptance probability (enumerated exactly or sampled).  A
     sampled coin compares fair bits with the probability's binary
-    expansion.  The fair bits come from whole generator words: the top
-    bit of a 32-bit word is what getrandbits(1) returns, so a seed
-    gives the same bits, coins and results as one call per bit, and
-    each run owns its generator, so bits read ahead are never seen.
+    expansion, and one table lookup settles every coin that ends within
+    a window of fair bits.  The fair bits come from whole generator
+    words: the top bit of a 32-bit word is what getrandbits(1) returns,
+    so a seed gives the same bits, coins and results as one call per
+    bit, and each run owns its generator, so bits read ahead are never
+    seen.
 
 On top of the semantics sit the four cross-simulation procedures
 between these networks and advice Turing machines, and the truncated
@@ -750,20 +752,28 @@ def algo2_tma_simulate_enn(e, f, c, w):
 
 
 _BLOCK = 64     # generator words a fair-bit buffer takes at a time
-_WINDOW = 8     # fair bits a coin compares with the expansion at once
+_WINDOW = 10    # fair bits one table lookup compares with the expansion
 
 
-@functools.lru_cache(maxsize=None)          # at most 2^_WINDOW windows
+@functools.lru_cache(maxsize=64)            # one table is about 0.2 MB
 def _settle(expansion):
-    """For every _WINDOW fair bits: the coin they settle against these
-    _WINDOW expansion bits and the number of bits read, or (None,
-    _WINDOW) when they tie all of them."""
-    table = {}
-    for fair in map("".join, itertools.product("01", repeat=_WINDOW)):
-        j = next((j for j, (f, e) in enumerate(zip(fair, expansion))
-                  if f != e), _WINDOW)
-        table[fair] = ((None, _WINDOW) if j == _WINDOW
-                       else (int(expansion[j]), j + 1))
+    """For every _WINDOW fair bits: the coins they settle in turn against
+    these _WINDOW expansion bits, each with the number of bits read up
+    to its last bit; () when they tie all of them.
+
+    Built from the table of the windows one bit shorter: past its last
+    coin a window ties the expansion for t bits, so a next bit equal to
+    expansion bit t keeps its coins, and the other settles one more.
+    """
+    table = {"": ()}
+    for m in range(_WINDOW):
+        longer = {}
+        for window, run in table.items():
+            tie = expansion[m - run[-1][1] if run else m]
+            coin = int(tie)
+            longer[window + tie] = run
+            longer[window + "10"[coin]] = run + ((coin, m + 1),)
+        table = longer
     return table
 
 
@@ -802,19 +812,27 @@ class _FairBits:
         fair bit sorts below it; the comparison settles after a
         geometric number of bits, so the draw is exact without ever
         forming the probability.  start > 0 resumes a comparison whose
-        first start bits have already tied.  Bits are compared _WINDOW
-        at a time through a table; a tie resumes past the window.
+        first start bits have already tied, for every flip.
+
+        One table lookup reads _WINDOW fair bits and settles every flip
+        that ends within them; a window that ties the expansion resumes
+        the comparison past it.  Each flip leaves the source just past
+        its last bit, so other reads of the source may follow any flip;
+        a generator resumed after them would reuse the bits they read,
+        so later flips come from a fresh generator.
         """
         table = _settle(stream.prefix(start + _WINDOW)[start:])
         while True:
             buf, pos = self._buf, self._pos
             if pos + _WINDOW > len(buf):
                 buf, pos = self._refill(pos, _WINDOW), 0
-            coin, read = table[buf[pos:pos + _WINDOW]]
-            self._pos = pos + read
-            if coin is None:
-                coin = next(self.coins(stream, start + _WINDOW))
-            yield coin
+            run = table[buf[pos:pos + _WINDOW]]
+            if not run:
+                self._pos = pos + _WINDOW
+                yield next(self.coins(stream, start + _WINDOW))
+            for coin, end in run:
+                self._pos = pos + end
+                yield coin
 
 
 @dataclass
@@ -1028,14 +1046,21 @@ def algo4_snn_simulate_ptma(m, p_stream, f, w, seed):
 # majority amplification
 
 
+def _check_repeats(repeats):
+    if repeats < 1:
+        raise ValueError("a vote needs at least one run")
+    if repeats % 2 == 0:
+        raise ValueError("an even vote can tie")
+
+
 def amplify_majority(runner, repeats):
     """Majority vote over independently indexed runs.
 
     runner maps a run index to a Decision; timeouts count against
-    acceptance.  repeats must be odd so the vote cannot tie.
+    acceptance.  repeats must be positive and odd so the vote cannot
+    tie.
     """
-    if repeats % 2 == 0:
-        raise ValueError("an even vote can tie")
+    _check_repeats(repeats)
     accepts = 0
     for i in range(repeats):
         if runner(i).kind == "accept":
@@ -1045,9 +1070,10 @@ def amplify_majority(runner, repeats):
 
 def amplify_majority_exact(p_accept, repeats):
     """Exact probability that a majority of repeats accepts."""
-    if repeats % 2 == 0:
-        raise ValueError("an even vote can tie")
+    _check_repeats(repeats)
     p = as_rat(p_accept)
+    if not 0 <= p <= 1:
+        raise ValueError("an acceptance probability lies in [0, 1]")
     total = ZERO
     for j in range(repeats // 2 + 1, repeats + 1):
         total += math.comb(repeats, j) * p ** j * (1 - p) ** (repeats - j)

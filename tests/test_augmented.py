@@ -535,3 +535,22 @@ def test_majority_amplification_votes():
               Decision("accept"), Decision("accept")]
     assert amplify_majority(canned.__getitem__, 5).kind == "accept"
     assert amplify_majority(lambda i: canned[1], 3).kind == "reject"
+
+
+@pytest.mark.parametrize("repeats", [0, -1, -3])
+def test_majority_amplification_refuses_an_empty_vote(repeats):
+    def runner(_i):
+        raise AssertionError("a refused vote runs nothing")
+
+    with pytest.raises(ValueError, match="at least one run"):
+        amplify_majority(runner, repeats)
+    with pytest.raises(ValueError, match="at least one run"):
+        amplify_majority_exact(1, repeats)
+
+
+@pytest.mark.parametrize("p_accept", [2, -R(1) / 3, R(3) / 2])
+def test_majority_amplification_refuses_a_probability_outside_0_1(p_accept):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        amplify_majority_exact(p_accept, 3)
+    assert amplify_majority_exact(0, 3) == 0
+    assert amplify_majority_exact(1, 3) == 1

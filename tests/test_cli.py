@@ -7,9 +7,14 @@ mismatch rather than a crash.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import exactrnn
 from exactrnn.augmented import ann_from_tma, enn_from_tma
 from exactrnn.cli import BOUNDS, main
 from exactrnn.machines import tm_run
@@ -102,6 +107,29 @@ def test_compile_rejects_bad_input(tmp_path, capsys):
     nodir = str(tmp_path / "nodir" / "x.rnn")
     assert main(["compile", mp, "--out", nodir]) == 2
     assert_one_error(capsys, f"cannot write {nodir}")
+
+
+def test_python_dash_m_runs_the_command(tmp_path, parity_files):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(exactrnn.__file__).parents[1]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "exactrnn", *argv],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    shown = run("--help")
+    assert shown.returncode == 0
+    assert "stochastic-suite" in shown.stdout
+    mp, np = parity_files
+    d = json.loads(open(np).read())
+    d["cfg"]["h0"][0] = "1/0"
+    bad = write_json(tmp_path / "bad.rnn", d)
+    cp = write_corpus(tmp_path / "corpus.txt", ["", "1"])
+    refused = run("verify", mp, bad, "--corpus", cp)
+    assert refused.returncode == 2
+    assert "malformed network spec" in refused.stderr
+    assert "Traceback" not in refused.stderr
 
 
 # ---------------------------------------------------------------- verify

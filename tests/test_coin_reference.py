@@ -212,6 +212,42 @@ def test_a_tie_past_the_compared_window_resumes_the_comparison(
     assert got == want
 
 
+def reference_word(rng, n):
+    return "".join("1" if rng.getrandbits(1) else "0" for _ in range(n))
+
+
+mixed_reads = st.lists(st.one_of(
+    st.tuples(st.just("word"), st.integers(min_value=0, max_value=40)),
+    st.tuples(st.just("coins"), st.integers(min_value=0, max_value=30),
+              st.integers(min_value=0, max_value=20))), max_size=10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(streams, seeds, st.integers(min_value=0, max_value=100), mixed_reads)
+@example(STREAMS["periodic-70"](), 0, 75,
+         [("coins", 3, 0), ("word", 7), ("coins", 30, 5), ("word", 1)])
+@example(STREAMS["2/3"](), 3, 12, [("coins", 1, 6), ("word", 6),
+                                   ("coins", 1, 6), ("coins", 0, 2)])
+def test_mixed_reads_leave_the_source_just_past_each_coin(
+        stream, seed, tie, reads):
+    # words and partly drained coin generators, one after another on one
+    # source; when a coin read comes first, the forced bits tie its
+    # expansion for `tie` bits, so its first coin crosses windows
+    first = next((read[2] for read in reads if read[0] == "coins"), 0)
+    forced = [stream.bit(i) for i in range(first, first + tie)]
+    src, ref = _FairBits(Forced(forced, seed)), Forced(forced, seed)
+    for read in reads:
+        if read[0] == "word":
+            assert src.word(read[1]) == reference_word(ref, read[1])
+        else:
+            _, count, start = read
+            want = [reference_bernoulli(ref, stream, start)
+                    for _ in range(count)]
+            assert list(itertools.islice(src.coins(stream, start),
+                                         count)) == want
+    assert src.word(64) == reference_word(ref, 64)
+
+
 # ------------------------------------------------------------ procedures
 
 

@@ -25,7 +25,10 @@ On top of the semantics sit the four cross-simulation procedures
 between these networks and advice Turing machines, and the truncated
 execution used by the machine sides: run a network with all weights
 and all activations cut to q fractional bits and calibrate how many
-bits reproduce exact behavior.
+bits reproduce exact behavior.  ann_from_tma and enn_from_tma compile
+an advice machine into an analog or evolving network from its rewrite
+over binary stacks, which machines owns (tma_to_stack and
+tma_to_stack_replay).
 """
 
 import functools
@@ -40,11 +43,10 @@ from .compiler import (
 )
 from .errors import (
     BudgetExceeded, DegenerateProbability, NoConvergence, PrecisionExhausted,
-    PreconditionViolated, ProtocolViolation, Timeout, UndefinedThreshold,
+    ProtocolViolation, Timeout, UndefinedThreshold,
 )
 from .machines import (
-    BLANK, Row, StackMachineSpec, TERMINALS, bpp_decide, check_main_rule,
-    loader_rows, main_rule_rows, ptm_run_with_choices,
+    bpp_decide, ptm_run_with_choices, tma_to_stack, tma_to_stack_replay,
 )
 from .network import Decision, RnnConfig, check_protocol, drive, run_word, step
 from .words import (
@@ -517,144 +519,6 @@ def calibrate_c(spec, corpus, f, c_max=64):
     raise NoConvergence(f"no c <= {c_max} reproduces exact behavior")
 
 
-# ==========================================================================
-# advice machine -> stack program, analog flavor and replay flavor
-
-
-def _expand_advice(m):
-    """Concrete (state, main, advice) -> rule table with wildcards
-    resolved, plus the keys that were written out explicitly; advice
-    symbol "_" stands for the region past the end."""
-    table, explicit = {}, set()
-    for (q, a, adv), rule in m.trans.items():
-        if adv != "*":
-            table[(q, a, adv)] = rule
-            explicit.add((q, a, adv))
-    for (q, a, adv), rule in m.trans.items():
-        if adv == "*":
-            for b in ("0", "1", BLANK):
-                table.setdefault((q, a, b), rule)
-    return table, explicit
-
-
-def _drain_rows(state, stack, nxt, into=None, extra=None):
-    """Pop a stack empty, optionally re-pushing each bit elsewhere."""
-    rows = []
-    for b in ("0", "1"):
-        ops = {stack: "pop"}
-        if into:
-            ops[into] = f"push{b}"
-        if extra:
-            ops[extra] = f"push{b}"
-        rows.append(Row(state, None, {stack: b}, ops, state))
-    rows.append(Row(state, None, {stack: "e"}, {}, nxt))
-    return rows
-
-
-def _tma_rows(m, fetch_stack, on_underflow):
-    """Ensure/dispatch/micro rows shared by both advice transforms.
-
-    Per machine step: an ensure step tops up the advice window from
-    fetch_stack when the head sits at its materialized frontier, then a
-    dispatch step fires on (main symbol, advice symbol) and performs
-    the tape updates, costing up to three further steps (stay-writes,
-    left moves on either tape).  on_underflow names the state entered
-    when the window and the fetch source are both empty: the past-end
-    dispatch for the analog flavor, the replay rebuild for the
-    evolving one.
-    """
-    table, explicit = _expand_advice(m)
-    rows = []
-    states = sorted({q for (q, _a, _b) in table})
-
-    def tgt(q):
-        return q if q in TERMINALS else f"e_{q}"
-
-    for q in states:
-        under = on_underflow if on_underflow else f"d_{q}"
-        rows += [
-            Row(f"e_{q}", None, {"AR": "e", fetch_stack: "0"},
-                {fetch_stack: "pop", "AR": "push0"}, f"d_{q}"),
-            Row(f"e_{q}", None, {"AR": "e", fetch_stack: "1"},
-                {fetch_stack: "pop", "AR": "push1"}, f"d_{q}"),
-            Row(f"e_{q}", None, {"AR": "e", fetch_stack: "e"}, {}, under),
-            Row(f"e_{q}", None, {"AR": "0"}, {}, f"d_{q}"),
-            Row(f"e_{q}", None, {"AR": "1"}, {}, f"d_{q}"),
-        ]
-
-    for i, ((q, a, adv), (wr, mv, amv, q2)) in enumerate(sorted(table.items())):
-        check_main_rule(q, a, wr, mv)
-        if adv == BLANK:
-            if on_underflow:
-                continue            # replay flavor: advice never ends
-            if amv == "R":
-                if (q, a, adv) not in explicit:
-                    continue        # wildcard spillover; stuck if reached
-                raise PreconditionViolated(
-                    f"rule at ({q},{a},_) walks right past the advice end")
-        aops = {"AR": "pop", "AL": f"push{adv}"} if amv == "R" else {}
-        final = tgt(q2)
-        if amv == "L":
-            av = f"av_{i}"
-            rows.append(Row(av, None, {"AL": "0"},
-                            {"AL": "pop", "AR": "push0"}, final))
-            rows.append(Row(av, None, {"AL": "1"},
-                            {"AL": "pop", "AR": "push1"}, final))
-            final = av
-        rows += main_rule_rows(f"d_{q}", a, wr, mv, final,
-                               (f"mw_{i}", f"mu_{i}", f"mv_{i}"),
-                               obs={"AR": "e" if adv == BLANK else adv},
-                               ops=aops)
-    return rows, tgt
-
-
-def tma_to_stack(m):
-    """Advice machine over stacks, advice pulled on demand from XA.
-
-    XA holds the unread advice suffix, oldest bit on top; the machine
-    window AL/AR mirrors the advice tape around the head.  A symbolic
-    run preloaded with init_stacks={"XA": advice_word} replays the
-    two-tape run exactly: the window tops up one bit at a time, so XA
-    runs dry precisely when the head first needs a bit past the
-    preloaded length, which then reads as the blank region.  Machines
-    that move the advice head right while on that blank region are not
-    representable and are rejected.
-    """
-    rows, tgt = _tma_rows(m, "XA", on_underflow=None)
-    rows = loader_rows(tgt(m.initial)) + rows
-    return StackMachineSpec(stacks=("L", "R", "AL", "AR", "XA"), rows=rows,
-                            initial="load1")
-
-
-def tma_to_stack_replay(m):
-    """Advice machine over stacks for the evolving-bias setting.
-
-    Advice bits arrive over time in an accumulator outside the stack
-    discipline (newest on top).  When the working copy XAP runs dry the
-    machine rebuilds: discard the advice window and XAP, capture the
-    accumulator into CP in one step (the load_from op, given meaning by
-    the network compiler), reverse it into XAP so the oldest bit
-    surfaces, restore the input tape from the pristine copy RCOPY, and
-    replay from the initial state.  Every round captures the full
-    arrival-order prefix, so each round sees strictly more advice and
-    the number of rounds stays logarithmic in the bits consumed.
-    """
-    rows, tgt = _tma_rows(m, "XAP", on_underflow="RB1")
-    rows = loader_rows(tgt(m.initial), tap="RCOPY") + rows
-    rows += _drain_rows("RB1", "AL", "RB2")
-    rows += _drain_rows("RB2", "AR", "RB3")
-    rows += _drain_rows("RB3", "XAP", "RB4")
-    rows.append(Row("RB4", None, {}, {"CP": ("load_from", "@acc")}, "RB5"))
-    rows += _drain_rows("RB5", "CP", "RB6", into="XAP")
-    rows += _drain_rows("RB6", "R", "RB7")
-    rows += _drain_rows("RB7", "L", "RB8")
-    rows += _drain_rows("RB8", "RCOPY", "RB9", into="W0")
-    rows += _drain_rows("RB9", "W0", tgt(m.initial), into="R", extra="RCOPY")
-    return StackMachineSpec(
-        stacks=("L", "R", "AL", "AR", "XAP", "CP", "RCOPY", "W0"),
-        rows=rows, initial="load1", extra_ops=("load_from",))
-
-
 def ann_from_tma(m, r):
     """Compile an advice machine into an analog network.
 
@@ -708,7 +572,8 @@ def enn_from_tma(m, e):
     guards = wire_program(b, ctx, program,
                           op_table={"load_from": (wire_load, 1)})
     restarts = tuple(guards[i] for i, row in enumerate(program.rows)
-                     if row.state == "RB4")
+                     if any(op[0] == "load_from" for op in row.ops.values()
+                            if isinstance(op, tuple)))
     return EnnSpec(base=b.finalize(), evolving_bias=e, restart_cells=restarts)
 
 

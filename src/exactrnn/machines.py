@@ -1,5 +1,7 @@
 """Reference interpreters: Turing machines, stack machines, and their
-advice-taking and coin-flipping variants.
+advice-taking and coin-flipping variants, with the rewrites of tape
+and advice machines over binary stacks that the compiler turns into
+networks.
 
 These run everything symbolically and serve as the ground truth that
 network simulations are checked against.  Conventions shared by all of
@@ -14,8 +16,6 @@ them:
   probabilistic branches, raises) a timeout.
 """
 
-import math
-import random
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,6 +36,14 @@ MOVES = ("L", "R", "S")
 TERMINALS = ("accept", "reject")
 
 
+def _check_states(*names):
+    """State names are strings: runs hash and sort them, and records
+    print them."""
+    for q in names:
+        if not isinstance(q, str):
+            raise ValueError(f"state name {q!r} is not a string")
+
+
 def _check_tm_rule(key, rule, adv=False):
     if adv:
         state, sym, asym = key
@@ -51,6 +59,7 @@ def _check_tm_rule(key, rule, adv=False):
         write, move, nxt = rule
     if write not in SYMBOLS or move not in MOVES:
         raise ValueError(f"bad rule {key} -> {rule}")
+    _check_states(state, nxt)
 
 
 class TmSpec:
@@ -60,6 +69,7 @@ class TmSpec:
     def __init__(self, trans, initial):
         for key, rule in trans.items():
             _check_tm_rule(key, rule)
+        _check_states(initial)
         self.trans = dict(trans)
         self.initial = initial
 
@@ -86,6 +96,7 @@ class TmaSpec:
     def __init__(self, trans, initial):
         for key, rule in trans.items():
             _check_tm_rule(key, rule, adv=True)
+        _check_states(initial)
         self.trans = dict(trans)
         self.initial = initial
 
@@ -112,6 +123,7 @@ class PtmSpec:
         for t in (trans0, trans1):
             for key, rule in t.items():
                 _check_tm_rule(key, rule)
+        _check_states(initial)
         self.trans0 = dict(trans0)
         self.trans1 = dict(trans1)
         self.initial = initial
@@ -204,7 +216,7 @@ def _tma_once(m, adv_word, w, bound):
     check_bitword(w)
     tape = _tape_of(w)
     head, ahead, state, steps = 0, 0, m.initial, 0
-    while steps < bound:
+    while steps < bound and state not in TERMINALS:
         sym = tape.get(head, BLANK)
         asym = adv_word[ahead] if ahead < len(adv_word) else BLANK
         rule = m.trans.get((state, sym, asym)) or m.trans.get((state, sym, "*"))
@@ -219,8 +231,8 @@ def _tma_once(m, adv_word, w, bound):
             ahead -= 1
         elif amove == "R":
             ahead += 1
-        if state in TERMINALS:
-            return Decision(state, tau=steps)
+    if state in TERMINALS:
+        return Decision(state, tau=steps)
     return Decision("timeout")
 
 
@@ -269,6 +281,7 @@ class Row:
         for pat in obs.values():
             if pat not in OBS_PATTERNS:
                 raise ValueError(f"bad observation {pat!r}")
+        _check_states(state, next_state)
         self.state = state
         self.read = read
         self.obs = dict(obs)
@@ -306,6 +319,7 @@ class StackMachineSpec:
         if len(set(self.stacks)) != len(self.stacks):
             raise ValueError("duplicate stack names")
         self.extra_ops = frozenset(extra_ops)
+        _check_states(initial)
         self.initial = initial
         self.rows = list(rows)
         self.rows_by_state = {}
@@ -436,19 +450,19 @@ def tm_to_stack(m):
     costs 1 (move right), 2 (stay) or 3 (move left) stack steps.
     """
     for (q, a), (b, mv, _q2) in m.trans.items():
-        check_main_rule(q, a, b, mv)
+        _check_main_rule(q, a, b, mv)
 
     def tgt(q):
         return q if q in TERMINALS else f"m_{q}"
 
-    rows = loader_rows(tgt(m.initial))
+    rows = _loader_rows(tgt(m.initial))
     for (q, a), (b, mv, q2) in sorted(m.trans.items()):
-        rows += main_rule_rows(f"m_{q}", a, b, mv, tgt(q2),
-                               (f"w_{q}_{a}", f"u_{q}_{a}", f"v_{q}_{a}"))
+        rows += _main_rule_rows(f"m_{q}", a, b, mv, tgt(q2),
+                                (f"w_{q}_{a}", f"u_{q}_{a}", f"v_{q}_{a}"))
     return StackMachineSpec(stacks=("L", "R"), rows=rows, initial="load1")
 
 
-def check_main_rule(q, read, write, move):
+def _check_main_rule(q, read, write, move):
     """Refuse a rule at (q, read) that the main tape over L and R cannot
     represent: one that erases a written cell, or walks right over a
     blank, which would leave a gap inside R."""
@@ -460,7 +474,7 @@ def check_main_rule(q, read, write, move):
             f"rule at ({q},{read}) walks right through main blanks")
 
 
-def loader_rows(first_state, tap=None):
+def _loader_rows(first_state, tap=None):
     """Rows that load the input word onto the main tape R, first symbol
     on top, by way of L: 2n+2 steps, then first_state.  tap names a
     further stack that receives a copy of every loaded bit."""
@@ -483,7 +497,7 @@ def loader_rows(first_state, tap=None):
 _MAIN_OBS = {"0": {"R": "0"}, "1": {"R": "1"}, BLANK: {"R": "e"}}
 
 
-def main_rule_rows(state, read, write, move, nxt, mids, obs=None, ops=None):
+def _main_rule_rows(state, read, write, move, nxt, mids, obs=None, ops=None):
     """Rows of one main-tape rule over L (left of the head) and R (head
     cell on top): pop R in state when R's top is read and obs hold, with
     the further ops, then push write onto L for a right move, write back
@@ -504,6 +518,144 @@ def main_rule_rows(state, read, write, move, nxt, mids, obs=None, ops=None):
             Row(mids[1], None, {}, back, mids[2]),
             Row(mids[2], None, {"L": "0"}, {"L": "pop", "R": "push0"}, nxt),
             Row(mids[2], None, {"L": "1"}, {"L": "pop", "R": "push1"}, nxt)]
+
+
+# --------------------------------------------------------------------------
+# advice machine -> stack program, analog flavor and replay flavor
+
+
+def _expand_advice(m):
+    """Concrete (state, main, advice) -> rule table with wildcards
+    resolved, plus the keys that were written out explicitly; advice
+    symbol "_" stands for the region past the end."""
+    table, explicit = {}, set()
+    for (q, a, adv), rule in m.trans.items():
+        if adv != "*":
+            table[(q, a, adv)] = rule
+            explicit.add((q, a, adv))
+    for (q, a, adv), rule in m.trans.items():
+        if adv == "*":
+            for b in ("0", "1", BLANK):
+                table.setdefault((q, a, b), rule)
+    return table, explicit
+
+
+def _drain_rows(state, stack, nxt, into=None, extra=None):
+    """Pop a stack empty, optionally re-pushing each bit elsewhere."""
+    rows = []
+    for b in ("0", "1"):
+        ops = {stack: "pop"}
+        if into:
+            ops[into] = f"push{b}"
+        if extra:
+            ops[extra] = f"push{b}"
+        rows.append(Row(state, None, {stack: b}, ops, state))
+    rows.append(Row(state, None, {stack: "e"}, {}, nxt))
+    return rows
+
+
+def _tma_rows(m, fetch_stack, on_underflow):
+    """Ensure/dispatch/micro rows shared by both advice transforms.
+
+    Per machine step: an ensure step tops up the advice window from
+    fetch_stack when the head sits at its materialized frontier, then a
+    dispatch step fires on (main symbol, advice symbol) and performs
+    the tape updates, costing up to three further steps (stay-writes,
+    left moves on either tape).  on_underflow names the state entered
+    when the window and the fetch source are both empty: the past-end
+    dispatch for the analog flavor, the replay rebuild for the
+    evolving one.
+    """
+    table, explicit = _expand_advice(m)
+    rows = []
+    states = sorted({q for (q, _a, _b) in table})
+
+    def tgt(q):
+        return q if q in TERMINALS else f"e_{q}"
+
+    for q in states:
+        under = on_underflow if on_underflow else f"d_{q}"
+        rows += [
+            Row(f"e_{q}", None, {"AR": "e", fetch_stack: "0"},
+                {fetch_stack: "pop", "AR": "push0"}, f"d_{q}"),
+            Row(f"e_{q}", None, {"AR": "e", fetch_stack: "1"},
+                {fetch_stack: "pop", "AR": "push1"}, f"d_{q}"),
+            Row(f"e_{q}", None, {"AR": "e", fetch_stack: "e"}, {}, under),
+            Row(f"e_{q}", None, {"AR": "0"}, {}, f"d_{q}"),
+            Row(f"e_{q}", None, {"AR": "1"}, {}, f"d_{q}"),
+        ]
+
+    for i, ((q, a, adv), (wr, mv, amv, q2)) in enumerate(sorted(table.items())):
+        _check_main_rule(q, a, wr, mv)
+        if adv == BLANK:
+            if on_underflow:
+                continue            # replay flavor: advice never ends
+            if amv == "R":
+                if (q, a, adv) not in explicit:
+                    continue        # wildcard spillover; stuck if reached
+                raise PreconditionViolated(
+                    f"rule at ({q},{a},_) walks right past the advice end")
+        aops = {"AR": "pop", "AL": f"push{adv}"} if amv == "R" else {}
+        final = tgt(q2)
+        if amv == "L":
+            av = f"av_{i}"
+            rows.append(Row(av, None, {"AL": "0"},
+                            {"AL": "pop", "AR": "push0"}, final))
+            rows.append(Row(av, None, {"AL": "1"},
+                            {"AL": "pop", "AR": "push1"}, final))
+            final = av
+        rows += _main_rule_rows(f"d_{q}", a, wr, mv, final,
+                                (f"mw_{i}", f"mu_{i}", f"mv_{i}"),
+                                obs={"AR": "e" if adv == BLANK else adv},
+                                ops=aops)
+    return rows, tgt
+
+
+def tma_to_stack(m):
+    """Advice machine over stacks, advice pulled on demand from XA.
+
+    XA holds the unread advice suffix, oldest bit on top; the machine
+    window AL/AR mirrors the advice tape around the head.  A symbolic
+    run preloaded with init_stacks={"XA": advice_word} replays the
+    two-tape run exactly: the window tops up one bit at a time, so XA
+    runs dry precisely when the head first needs a bit past the
+    preloaded length, which then reads as the blank region.  Machines
+    that move the advice head right while on that blank region are not
+    representable and are rejected.
+    """
+    rows, tgt = _tma_rows(m, "XA", on_underflow=None)
+    rows = _loader_rows(tgt(m.initial)) + rows
+    return StackMachineSpec(stacks=("L", "R", "AL", "AR", "XA"), rows=rows,
+                            initial="load1")
+
+
+def tma_to_stack_replay(m):
+    """Advice machine over stacks for the evolving-bias setting.
+
+    Advice bits arrive over time in an accumulator outside the stack
+    discipline (newest on top).  When the working copy XAP runs dry the
+    machine rebuilds: discard the advice window and XAP, capture the
+    accumulator into CP in one step (the load_from op, given meaning by
+    the network compiler), reverse it into XAP so the oldest bit
+    surfaces, restore the input tape from the pristine copy RCOPY, and
+    replay from the initial state.  Every round captures the full
+    arrival-order prefix, so each round sees strictly more advice and
+    the number of rounds stays logarithmic in the bits consumed.
+    """
+    rows, tgt = _tma_rows(m, "XAP", on_underflow="RB1")
+    rows = _loader_rows(tgt(m.initial), tap="RCOPY") + rows
+    rows += _drain_rows("RB1", "AL", "RB2")
+    rows += _drain_rows("RB2", "AR", "RB3")
+    rows += _drain_rows("RB3", "XAP", "RB4")
+    rows.append(Row("RB4", None, {}, {"CP": ("load_from", "@acc")}, "RB5"))
+    rows += _drain_rows("RB5", "CP", "RB6", into="XAP")
+    rows += _drain_rows("RB6", "R", "RB7")
+    rows += _drain_rows("RB7", "L", "RB8")
+    rows += _drain_rows("RB8", "RCOPY", "RB9", into="W0")
+    rows += _drain_rows("RB9", "W0", tgt(m.initial), into="R", extra="RCOPY")
+    return StackMachineSpec(
+        stacks=("L", "R", "AL", "AR", "XAP", "CP", "RCOPY", "W0"),
+        rows=rows, initial="load1", extra_ops=("load_from",))
 
 
 # --------------------------------------------------------------------------
@@ -571,45 +723,9 @@ def bpp_decide(p):
 
 
 def ptm_run_with_choices(m, w, choices, bound):
-    """Deterministic replay: choices supplies the coin for every step.
-
-    choices is a sequence or a callable index -> bit.  Returns
-    (Decision, number of coins consumed).
+    """Deterministic replay: the sequence choices supplies the coin for
+    every step.  Returns (Decision, number of coins consumed).
     """
-    take = choices if callable(choices) else choices.__getitem__
     return _tape_loop(m.initial, w,
-                      lambda steps: m.trans1 if take(steps) else m.trans0,
+                      lambda steps: m.trans1 if choices[steps] else m.trans0,
                       bound)
-
-
-@dataclass
-class McResult:
-    estimate: object          # exact accepts/trials as a rational
-    accepts: int
-    trials: int
-    ci_low: float             # normal-approximation 95% interval,
-    ci_high: float            # floats by nature of the approximation
-
-
-def ptm_run_mc(m, w, bound, trials, seed):
-    """Monte Carlo acceptance estimate with split per-trial seeding.
-
-    Trial i draws its coins from a generator seeded by a pure function
-    of (seed, i), so runs are reproducible and parallelizable.  A trial
-    that fails to halt within bound raises Timeout.
-    """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    accepts = 0
-    for i in range(trials):
-        rng = random.Random(seed * 2 ** 64 + i)
-        d, _ = ptm_run_with_choices(m, w, lambda _t: rng.getrandbits(1), bound)
-        if d.kind == "timeout":
-            raise Timeout(f"trial {i} exceeded {bound} steps")
-        if d.kind == "accept":
-            accepts += 1
-    est = as_rat(accepts) / trials
-    phat = accepts / trials
-    hw = 1.96 * math.sqrt(max(phat * (1 - phat), 0.0) / trials)
-    return McResult(estimate=est, accepts=accepts, trials=trials,
-                    ci_low=max(0.0, phat - hw), ci_high=min(1.0, phat + hw))

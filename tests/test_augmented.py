@@ -38,8 +38,6 @@ from exactrnn.augmented import (
     enn_run,
     exact_run,
     snn_run,
-    tma_to_stack,
-    tma_to_stack_replay,
     truncate_config,
     truncate_run,
 )
@@ -47,6 +45,7 @@ from exactrnn.errors import (
     BppViolation,
     BudgetExceeded,
     DegenerateProbability,
+    ExactRnnError,
     NoConvergence,
     PrecisionExhausted,
     PreconditionViolated,
@@ -54,7 +53,17 @@ from exactrnn.errors import (
     Timeout,
     UndefinedThreshold,
 )
-from exactrnn.machines import TmaSpec, advice_from_stream, stack_run, tma_run
+from exactrnn.machines import (
+    BLANK,
+    TERMINALS,
+    Advice,
+    TmaSpec,
+    advice_from_stream,
+    stack_run,
+    tma_run,
+    tma_to_stack,
+    tma_to_stack_replay,
+)
 from exactrnn.network import RnnConfig, run_word
 from exactrnn.words import BitStream, as_rat, delta4
 from exactrnn.zoo import (
@@ -359,6 +368,80 @@ def test_symbolic_transform_tracks_two_tape_runs(w, advbits):
     got = stack_run(tma_to_stack(m), w, 4000,
                     init_stacks={"XA": r.prefix(len(w) + 1)})
     assert got.kind == want.kind
+
+
+# ------------------------------------------------ generated advice machines
+
+
+GEN_STATES = ("a", "b", "c")
+GEN_BOUND = 30          # tma_run steps; the advice head stays on its prefix
+GEN_ADVICE = 40         # advice bits, more than GEN_BOUND
+
+
+# every rule at a main symbol that the main tape over two stacks can
+# hold: no written cell erased, no right move over a blank
+GEN_RULES = {
+    read: [(wr, mv, amv, nxt)
+           for wr in ("01_" if read == BLANK else "01")
+           for mv in ("LS" if read == BLANK else "LRS")
+           for amv in "LRS" for nxt in GEN_STATES + TERMINALS]
+    for read in "01_"}
+
+
+@st.composite
+def advice_machines(draw):
+    """Advice machines over three working states, with wildcard and
+    specific advice keys (a key for "0" alone leaves a rule missing),
+    and an initial state drawn from the working and the terminal
+    states."""
+    trans = {}
+    for q in GEN_STATES:
+        for a in "01_":
+            for adv in draw(st.sampled_from(
+                    (("*",), ("0",), ("0", "1"), ("0", "*"), ("1", "*")))):
+                trans[(q, a, adv)] = draw(st.sampled_from(GEN_RULES[a]))
+    return TmaSpec(trans, draw(st.sampled_from(GEN_STATES + TERMINALS)))
+
+
+gen_advice = st.text(alphabet="01", min_size=GEN_ADVICE, max_size=GEN_ADVICE)
+gen_words = st.lists(st.text(alphabet="01", max_size=5), min_size=6,
+                     max_size=6)
+
+
+def run_kind(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs).kind
+    except ExactRnnError as exc:
+        return type(exc).__name__
+
+
+def fixed_advice(adv):
+    return Advice(size=lambda n: len(adv), word=lambda n: adv)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(advice_machines(), gen_advice, gen_words)
+def test_generated_advice_machines_match_their_stack_program(m, adv, words):
+    # one advice step costs at most five stack steps after the 2n+2 load
+    sm = tma_to_stack(m)
+    for w in words:
+        want = run_kind(tma_run, m, fixed_advice(adv), w, GEN_BOUND)
+        got = run_kind(stack_run, sm, w, 2 * len(w) + 2 + 5 * GEN_BOUND,
+                       init_stacks={"XA": adv})
+        if want in TERMINALS or got in TERMINALS:
+            assert got == want or want == "timeout", w
+
+
+@settings(max_examples=60, deadline=None)
+@given(advice_machines(), gen_advice, gen_words)
+def test_generated_advice_machines_match_their_networks(m, adv, words):
+    r = BitStream.from_word(adv)
+    a, e = ann_from_tma(m, r), enn_from_tma(m, r)
+    for w in words:
+        want = run_kind(tma_run, m, fixed_advice(adv), w, GEN_BOUND)
+        if want in TERMINALS:
+            assert ann_run(a, w, 4000).kind == want, w
+            assert enn_run(e, w, 20000).kind == want, w
 
 
 # ------------------------------------------------------- stochastic runs

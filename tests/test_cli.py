@@ -109,6 +109,19 @@ def test_compile_rejects_bad_input(tmp_path, capsys):
     assert_one_error(capsys, f"cannot write {nodir}")
 
 
+def test_compile_refuses_state_names_that_are_not_strings(tmp_path, capsys):
+    good = {"type": "stack-machine", "stacks": ["S"], "initial": "q",
+            "rows": [["q", "end", {}, {}, "accept"]], "extra_ops": []}
+    out = str(tmp_path / "x.rnn")
+    for bad in ({"initial": [1]}, {"initial": {"a": 1}},
+                {"rows": [[5, "end", {}, {}, "accept"]]},
+                {"rows": [["q", "end", {}, {}, [2]]]}):
+        mp = write_json(tmp_path / "bad.sm", {**good, **bad})
+        assert main(["compile", mp, "--out", out]) == 2
+        assert_one_error(capsys, "is not a string")
+    assert not os.path.exists(out)
+
+
 def test_python_dash_m_runs_the_command(tmp_path, parity_files):
     env = dict(os.environ,
                PYTHONPATH=str(Path(exactrnn.__file__).parents[1]))
@@ -295,6 +308,21 @@ def test_verify_rejects_malformed_analog_files(tmp_path, capsys):
     assert "malformed network spec" in capsys.readouterr().err
 
 
+def test_verify_refuses_state_names_that_are_not_strings(
+        tmp_path, parity_files, capsys):
+    mp, np = parity_files
+    ap = write_json(tmp_path / "eater.ann",
+                    ann_from_tma(advice_eater_tma(), eater_stream(8)).to_json())
+    cp = write_corpus(tmp_path / "c.txt", ["", "1"])
+    for machine, net in ((parity_tm().to_json(), np),
+                         (advice_eater_tma().to_json(), ap)):
+        for initial in ([1], {"a": 1}):
+            bad = write_json(tmp_path / "bad.json",
+                             {**machine, "initial": initial})
+            assert main(["verify", bad, net, "--corpus", cp]) == 2
+            assert_one_error(capsys, "is not a string")
+
+
 def test_verify_records_rerun_byte_identical(tmp_path, parity_files):
     mp, np = parity_files
     cp = write_corpus(tmp_path / "c.txt", ["", "1", "10", "0110"])
@@ -404,6 +432,21 @@ def test_stochastic_suite_refuses_coins_without_a_probability(
         assert main(["stochastic-suite", bad, pp, "--trials", "5",
                      "--out", str(out)]) == 2
         assert_one_error(capsys, text)
+        assert not out.exists()
+
+
+def test_stochastic_suite_refuses_state_names_that_are_not_strings(
+        tmp_path, suite_files, capsys):
+    sp, _ = suite_files
+    fixed = {"type": "ptm", "initial": "go",
+             "trans0": [["go", "_", "_", "S", "accept"]],
+             "trans1": [["go", "_", "_", "S", "reject"]]}
+    out = tmp_path / "records.jsonl"
+    for initial in ([1], {"a": 1}, None, 7):
+        pp = write_json(tmp_path / "bad.ptm", {**fixed, "initial": initial})
+        assert main(["stochastic-suite", sp, pp, "--trials", "5",
+                     "--out", str(out)]) == 2
+        assert_one_error(capsys, "is not a string")
         assert not out.exists()
 
 

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactrnn.augmented import tma_to_stack
 from exactrnn.errors import (
     BppViolation,
     BudgetExceeded,
@@ -31,12 +30,12 @@ from exactrnn.machines import (
     advice_from_stream,
     bpp_decide,
     ptm_run_exact,
-    ptm_run_mc,
     ptm_run_with_choices,
     stack_run,
     tm_run,
     tm_to_stack,
     tma_run,
+    tma_to_stack,
 )
 from exactrnn.words import BitStream, as_rat, words_of_length
 
@@ -349,6 +348,17 @@ def test_tma_reads_advice():
     assert tma_run(m, even_flag, "0", 10).kind == "reject"
 
 
+def test_tma_decides_at_once_in_a_terminal_initial_state():
+    # as tm_run and the stack program do: no rule is read, tau is 0
+    tma = TmaSpec({("q", "0", "*"): ("0", "R", "S", "q")}, "accept")
+    tm = TmSpec({("q", "0"): ("0", "R", "q")}, "accept")
+    empty = Advice(size=lambda n: 0, word=lambda n: "")
+    for w in ("", "01"):
+        for d in (tma_run(tma, empty, w, 10), tm_run(tm, w, 10)):
+            assert (d.kind, d.tau) == ("accept", 0)
+        assert stack_run(tma_to_stack(tma), w, 50).kind == "accept"
+
+
 def test_tma_consistency_check():
     m = first_advice_bit_tma()
     flipping = Advice(size=lambda n: 1,
@@ -494,19 +504,6 @@ def outcome(fn, *args):
 def test_ptm_exact_matches_the_configuration_split(m, w, budget):
     assert outcome(ptm_run_exact, m, w, 8, budget) == \
         outcome(reference_ptm_run_exact, m, w, 8, budget)
-
-
-def test_ptm_mc_deterministic():
-    r = ptm_run_mc(deterministic_ptm(), "11", 100, trials=50, seed=1)
-    assert r.estimate == 1
-
-
-def test_ptm_mc_fair_seeded():
-    r1 = ptm_run_mc(first_coin_ptm(), "0", 10, trials=10000, seed=42)
-    r2 = ptm_run_mc(first_coin_ptm(), "0", 10, trials=10000, seed=42)
-    assert r1.estimate == r2.estimate
-    assert R(47) / 100 <= r1.estimate <= R(53) / 100
-    assert r1.ci_low <= float(r1.estimate) <= r1.ci_high
 
 
 def test_ptm_with_choices():

@@ -163,37 +163,6 @@ class TruncationPolicy:
             raise ValueError("precision must be at least one bit")
 
 
-def delta4_stream_value(stream):
-    """Exact stack encoding of an infinite stream when it has a closed
-    form (constant tail, periodic, or rational expansion); None for
-    algorithmic and pseudo-random streams."""
-
-    def tail_value(head, cyc):
-        cyc_val = delta4(cyc) * 4 ** len(cyc) / (4 ** len(cyc) - 1)
-        return delta4(head) + cyc_val / 4 ** len(head)
-
-    spec = stream._spec
-    if spec is None:
-        return None
-    kind = spec.get("kind")
-    if kind == "word":
-        head, tail = spec["word"], spec["tail"]
-        return delta4(head) + as_rat(2 * tail + 1) / 3 / 4 ** len(head)
-    if kind == "periodic":
-        return tail_value(spec["head"], spec["cycle"])
-    if kind == "rational":
-        r, seen, bits = stream.value, {}, []
-        while r not in seen:
-            seen[r] = len(bits)
-            r2 = r * 2
-            b = 1 if r2 >= 1 else 0
-            bits.append(str(b))
-            r = r2 - b
-        j = seen[r]
-        return tail_value("".join(bits[:j]), "".join(bits[j:]))
-    return None
-
-
 # ==========================================================================
 # analog runs: interval arithmetic over a lazily revealed bias
 
@@ -911,31 +880,13 @@ def algo4_snn_simulate_ptma(m, p_stream, f, w, seed):
 # majority amplification
 
 
-def _check_repeats(repeats):
+def amplify_majority_exact(p_accept, repeats):
+    """Exact probability that a majority of repeats accepts; repeats
+    must be positive and odd so the vote cannot tie."""
     if repeats < 1:
         raise ValueError("a vote needs at least one run")
     if repeats % 2 == 0:
         raise ValueError("an even vote can tie")
-
-
-def amplify_majority(runner, repeats):
-    """Majority vote over independently indexed runs.
-
-    runner maps a run index to a Decision; timeouts count against
-    acceptance.  repeats must be positive and odd so the vote cannot
-    tie.
-    """
-    _check_repeats(repeats)
-    accepts = 0
-    for i in range(repeats):
-        if runner(i).kind == "accept":
-            accepts += 1
-    return Decision("accept" if accepts > repeats // 2 else "reject")
-
-
-def amplify_majority_exact(p_accept, repeats):
-    """Exact probability that a majority of repeats accepts."""
-    _check_repeats(repeats)
     p = as_rat(p_accept)
     if not 0 <= p <= 1:
         raise ValueError("an acceptance probability lies in [0, 1]")

@@ -44,6 +44,16 @@ def _check_states(*names):
             raise ValueError(f"state name {q!r} is not a string")
 
 
+def _rows(d, key, width):
+    """d[key] as read from a spec file: a list of rows, each a list of
+    width entries."""
+    rows = d[key]
+    if not (isinstance(rows, list)
+            and all(isinstance(r, list) and len(r) == width for r in rows)):
+        raise ValueError(f"{key!r} must be a list of rows of {width} entries")
+    return rows
+
+
 def _check_tm_rule(key, rule, adv=False):
     if adv:
         state, sym, asym = key
@@ -83,7 +93,7 @@ class TmSpec:
 
     @classmethod
     def from_json(cls, d):
-        trans = {(q, a): (b, mv, nq) for q, a, b, mv, nq in d["trans"]}
+        trans = {(q, a): (b, mv, nq) for q, a, b, mv, nq in _rows(d, "trans", 5)}
         return cls(trans=trans, initial=d["initial"])
 
 
@@ -111,7 +121,7 @@ class TmaSpec:
     @classmethod
     def from_json(cls, d):
         trans = {(q, a, s): (b, mv, av, nq)
-                 for q, a, s, b, mv, av, nq in d["trans"]}
+                 for q, a, s, b, mv, av, nq in _rows(d, "trans", 7)}
         return cls(trans=trans, initial=d["initial"])
 
 
@@ -137,10 +147,10 @@ class PtmSpec:
 
     @classmethod
     def from_json(cls, d):
-        def load(rows):
-            return {(q, a): (b, mv, nq) for q, a, b, mv, nq in rows}
+        def load(key):
+            return {(q, a): (b, mv, nq) for q, a, b, mv, nq in _rows(d, key, 5)}
 
-        return cls(trans0=load(d["trans0"]), trans1=load(d["trans1"]),
+        return cls(trans0=load("trans0"), trans1=load("trans1"),
                    initial=d["initial"])
 
 
@@ -361,7 +371,7 @@ class StackMachineSpec:
     @classmethod
     def from_json(cls, d):
         rows = []
-        for state, read, obs, ops, nxt in d["rows"]:
+        for state, read, obs, ops, nxt in _rows(d, "rows", 5):
             ops = {s: tuple(op) if isinstance(op, list) else op
                    for s, op in ops.items()}
             rows.append(Row(state, None if read == "eps" else read,

@@ -18,6 +18,19 @@ every step), cells at one enter a step as whole numbers, not as long
 numerators, and lowest terms takes the power of two from the bits of
 the operands and a gcd of the odd part only.
 
+A compiled network's live cells follow its finite control, not the
+word, so a long run meets the same few hundred (live cells, input)
+patterns over and over.  Once a config of two input lines has taken
+_HOT_STEPS short steps it is hot, and each such pattern it meets gets
+a step kernel: a straight-line function, generated from the config's
+integer weights and compiled once, that does what the interpreted
+short loop does for that pattern, readout included, in half the time.
+The interpreted loop stays the path of a cold config, because a kernel
+costs as much to build as about a hundred interpreted steps, and a
+one-shot command such as the README verify meets each of its patterns
+a few times at most.  A net with a third input line (coins or evolving
+bits) never turns hot: its live cells follow that line too.
+
 Word I/O protocol: bit i of the word arrives as x_0 = w_i with
 validation x_1 = 1, input then goes silent (0,0).  The network answers
 with a single spike y_1 = 1 whose companion bit y_0 carries
@@ -122,6 +135,10 @@ class RnnConfig:
         # biases), built once on first use; the config is immutable, so
         # they never go stale
         self._derived = {}
+        # short steps taken cold, and once there were _HOT_STEPS of them
+        # the step kernels built so far (see step); immutable as above
+        self._cold_steps = 0
+        self._kernels = None
 
     def readout(self, state):
         """Output pair theta(W_out h) of a state."""
@@ -225,13 +242,6 @@ class Decision:
             return None
         return self.kind == "accept"
 
-    def trace_lines(self):
-        if self.trace is None:
-            return
-        for t, h, y in self.trace:
-            hs = ", ".join(rat_str(v) for v in h)
-            yield f"t={t} h=({hs}) y=({y[0]},{y[1]})"
-
 
 # Above this size step splits its sums and takes common_factor for a
 # plain gcd: the gcd of two 64-bit ints takes 1.00 us against 1.12 us
@@ -256,6 +266,106 @@ def common_factor(one, *nums):
     return math.gcd(odd, *nums) << ((low & -low).bit_length() - 1)
 
 
+# A config turns hot after this many short steps (see step).  A kernel
+# takes about 0.5 ms to build and saves about 3 us a step on compiled
+# parity, so it pays after some 170 uses: only a config that has run
+# for thousands of steps is likely to give it those.  The README verify
+# takes 429 steps and one calibrate_c of compiled parity 376.
+_HOT_STEPS = 4096
+# Kernels kept per config, about 2.4 KB each; patterns past the cap run
+# the interpreted loop.  Compiled parity meets 250 patterns over every
+# word of length 8 or less, compiled Dyck 102.
+_MAX_KERNELS = 512
+
+
+_KERNEL_GLOBALS = {"gcd": math.gcd, "state": NetworkState._sparse,
+                   "theta": theta, "Rat": Rat}
+
+
+def _kernel(cfg, state, x):
+    """The step kernel of cfg for the live cells of state and input x:
+    built, kept on cfg and returned, or None when cfg keeps
+    _MAX_KERNELS already or x is not all int.
+
+    A kernel is step's short branch unrolled for one pattern: each
+    target cell's sum is one expression in the live numerators m0, m1,
+    ... with integer literals for weights, inputs and bias folded
+    together, written in the order the interpreted loop inserts the
+    cells, so that both paths give the same next state, key included.
+    Every live numerator lies in (0, den], so the signs of a sum's
+    coefficients bound it: a sum that cannot pass 0 is left out, one
+    that cannot fall below one is one, and the tests against 0 and one
+    are written only where the sum can cross them.  The kernel reads
+    out the sums before they are brought to lowest terms, which leaves
+    every comparison with one and every readout value unchanged.
+    """
+    kernels = cfg._kernels
+    if len(kernels) >= _MAX_KERNELS or any(type(v) is not int for v in x):
+        return None
+    live = tuple(state.nums)
+    consts = dict.fromkeys(cfg._pos_bias, 0)
+    terms = {}
+    for c, xv in enumerate(x):
+        if xv:
+            for i, w in cfg._in_cols[c]:
+                consts[i] = consts.get(i, 0) + w * xv
+    for n, j in enumerate(live):
+        for i, w in cfg._res_by_col.get(j, ()):
+            consts.setdefault(i, 0)
+            terms.setdefault(i, []).append((w, f"m{n}"))
+    read = {j for row in cfg._out_rows for j, _w in row}
+    lines = ["def kernel(s):"]
+    if live:
+        names = ", ".join(f"m{n}" for n in range(len(live)))
+        lines.append(f"    {names}, = s.nums.values()")
+    lines += ["    den = s.den", f"    one = {cfg._den} * den", "    nums = {}"]
+    emitted = set()
+    for i, c in consts.items():
+        c += cfg._bias_map.get(i, 0)
+        parts = ([(c, "den")] if c else []) + terms.get(i, [])
+        assert all(type(w) is int for w, _m in parts)
+        # the sum lies between lo * den and hi * den, and exceeds
+        # lo * den when a positive weight reads a live cell
+        hi = c + sum(w for w, m in parts if w > 0 and m != "den")
+        lo = c + sum(w for w, m in parts if w < 0 and m != "den")
+        if hi <= 0:
+            continue
+        emitted.add(i)
+        v = f"v{i}"
+        if lo >= cfg._den:
+            lines.append(f"    nums[{i}] = {v} = one")
+            continue
+        lines.append(f"    {v} = {' + '.join(f'{w} * {m}' for w, m in parts)}")
+        store = [f"nums[{i}] = {v}"]
+        if hi > cfg._den:
+            store[:0] = [f"if {v} > one:", f"    {v} = one"]
+        if lo > 0 or (lo == 0 and hi > c):
+            lines += [f"    {ln}" for ln in store]
+        else:
+            lines += [f"    if {v} > 0:"] + [f"        {ln}" for ln in store]
+            if i in read:
+                lines.append(f"    else:\n        {v} = 0")
+    ys = []
+    for r, row in enumerate(cfg._out_rows):
+        parts = [f"{w} * v{j}" for j, w in row if j in emitted]
+        if not parts:
+            ys.append("0")
+            continue
+        lines += [f"    r{r} = {' + '.join(parts)}",
+                  f"    y{r} = 0 if r{r} <= 0 else 1 if r{r} >= {cfg._den} * one "
+                  f"else theta(Rat(r{r}, {cfg._den} * one))"]
+        ys.append(f"y{r}")
+    lines += ["    g = gcd(one, *nums.values())",
+              "    if g > 1:",
+              "        one //= g",
+              "        nums = {i: v // g for i, v in nums.items()}",
+              f"    return state(s.t + 1, {cfg.k}, one, nums), ({ys[0]}, {ys[1]})"]
+    scope = {}
+    exec(compile("\n".join(lines), "<step kernel>", "exec"), _KERNEL_GLOBALS, scope)
+    kernels[live, x] = kern = scope["kernel"]
+    return kern
+
+
 def step(cfg, state, x):
     """One synchronous update; returns (next state, output pair).
 
@@ -276,11 +386,31 @@ def step(cfg, state, x):
     numbers alone that ends at or below 0 or at or above one takes
     none.  At 64 bits or fewer every contribution goes into one sum,
     which costs fewer dict operations.
+
+    Each config counts its short steps.  After _HOT_STEPS of them a
+    config of two input lines is hot: a short step looks up the kernel
+    of (the state's live cells, x), builds it on first sight (see
+    _kernel), and returns what the kernel returns, the same state and
+    output pair as the loop.  A pattern past the cap of _MAX_KERNELS
+    kernels, or an input that is not a tuple of ints, takes the loop.
+    Kernels rely on every cell of state lying in [0, 1], as every state
+    of a run does.
     """
     if len(x) != cfg.n_in:
         raise ValueError(f"expected {cfg.n_in} input lines, got {len(x)}")
     den = state.den
     one = cfg._den * den
+    if one < _LONG:
+        kernels = cfg._kernels
+        if kernels is None:
+            if cfg._cold_steps < _HOT_STEPS:
+                cfg._cold_steps += 1
+            elif cfg.n_in == 2:
+                kernels = cfg._kernels = {}
+        if kernels is not None and type(x) is tuple:
+            kern = kernels.get((tuple(state.nums), x)) or _kernel(cfg, state, x)
+            if kern:
+                return kern(state)
     res = cfg._res_by_col
     bias = cfg._bias_map
     acc = dict.fromkeys(cfg._pos_bias, 0)

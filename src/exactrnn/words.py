@@ -254,17 +254,15 @@ class BitStream:
     """Deterministic, memoized stream of bits indexed from 0.
 
     Construct through the factories.  The bits read so far are one word,
-    extended from its end by the factory's more(i, j), bits i..j-1; a
-    call that raises stores nothing.  `prefix(n)` extends exactly to n
-    bits; `bit(i)` reads at least twice as far, so a walk stays linear,
-    except on `from_function`, whose fn, maybe costly or partial, sees
-    only the indices read.  `value` is the exact binary-fraction value
+    extended from its end by the factory's more(i, j), bits i..j-1.
+    `prefix(n)` extends exactly to n bits; `bit(i)` reads at least twice
+    as far, so a walk stays linear.  `value` is the exact binary-fraction value
     sum bit(i)/2^(i+1) when a closed form is known, else None.
     `mathematical` is False for PRNG-backed streams, which exist for
     tests and sampling.
     """
 
-    def __init__(self, more, value=None, spec=None, mathematical=True):
+    def __init__(self, more, value, spec, mathematical=True):
         self._more = more
         self._text = ""
         self.value = value
@@ -276,8 +274,7 @@ class BitStream:
             raise IndexError(i)
         text = self._text
         if i >= len(text):
-            # only a from_function stream has no spec
-            n = max(i + 1, 2 * len(text) if self._spec else 0)
+            n = max(i + 1, 2 * len(text))
             self._text = text = text + self._more(len(text), n)
         return 1 if text[i] == "1" else 0
 
@@ -340,12 +337,6 @@ class BitStream:
         return cls(more, value=q, spec={"kind": "rational", "value": rat_str(q)})
 
     @classmethod
-    def from_function(cls, fn, value=None):
-        """Arbitrary algorithmic stream; not serializable."""
-        return cls(lambda i, j: "".join("1" if fn(k) else "0" for k in range(i, j)),
-                   value=value, spec=None)
-
-    @classmethod
     def from_prng(cls, seed):
         """Seeded pseudo-random bits; repeatable but flagged non-mathematical."""
         rng = random.Random(seed)
@@ -355,8 +346,6 @@ class BitStream:
     # ------------------------------------------------------ serialization
 
     def to_json(self):
-        if self._spec is None:
-            raise ValueError("stream has no serializable description")
         return dict(self._spec)
 
     @classmethod
@@ -373,5 +362,5 @@ class BitStream:
         raise ValueError(f"unknown stream kind {kind!r}")
 
     def __repr__(self):
-        tag = self._spec["kind"] if self._spec else "function"
-        return f"<BitStream {tag} {self.prefix(min(12, len(self._text) or 8))}...>"
+        shown = self.prefix(min(12, len(self._text) or 8))
+        return f"<BitStream {self._spec['kind']} {shown}...>"

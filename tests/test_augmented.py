@@ -25,7 +25,6 @@ from exactrnn.augmented import (
     algo2_tma_simulate_enn,
     algo3_ptma_simulate_snn,
     algo4_snn_simulate_ptma,
-    amplify_majority,
     _FairBits,
     amplify_majority_exact,
     ann_from_tma,
@@ -33,7 +32,6 @@ from exactrnn.augmented import (
     calibrate_c,
     ceil_log2,
     count_restarts,
-    delta4_stream_value,
     enn_from_tma,
     enn_run,
     exact_run,
@@ -94,33 +92,6 @@ def cmp_advice(r):
 
 
 # ------------------------------------------------------- stream encodings
-
-
-def test_stream_encoding_closed_forms():
-    # oracle: the digit series, summed far enough that the tail bound
-    # 4^-40 separates any two candidate closed forms used here
-    def partial(stream, digits=40):
-        acc = R(0)
-        for i in range(digits):
-            acc += R(2 * stream.bit(i) + 1) / 4 ** (i + 1)
-        return acc
-
-    cases = [
-        (BitStream.from_word("11"), R(23) / 24),
-        (BitStream.from_word("1"), R(5) / 6),
-        (BitStream.from_word("", tail_bit=1), R(1)),
-        (BitStream.from_periodic("", "10"), R(13) / 15),
-        (BitStream.from_rational(R(2) / 3), R(13) / 15),
-        (BitStream.from_rational(R(3) / 4), R(23) / 24),
-    ]
-    for stream, want in cases:
-        got = delta4_stream_value(stream)
-        assert got == want
-        assert abs(partial(stream) - got) <= R(1) / 4 ** 40
-
-
-def test_stream_encoding_unknown_for_prng():
-    assert delta4_stream_value(BitStream.from_prng(9)) is None
 
 
 def test_ceil_log2():
@@ -603,30 +574,8 @@ def test_majority_amplification_exact_tail():
         amplify_majority_exact(R(1) / 2, 4)
 
 
-def test_majority_amplification_votes():
-    s = majority3_snn(two_thirds_stream())
-
-    def runner(_i):
-        return snn_run(s, "", 4).decision
-
-    assert amplify_majority(runner, 3).kind == "accept"
-    with pytest.raises(ValueError):
-        amplify_majority(runner, 2)
-
-    from exactrnn.network import Decision
-    canned = [Decision("accept"), Decision("timeout"), Decision("reject"),
-              Decision("accept"), Decision("accept")]
-    assert amplify_majority(canned.__getitem__, 5).kind == "accept"
-    assert amplify_majority(lambda i: canned[1], 3).kind == "reject"
-
-
 @pytest.mark.parametrize("repeats", [0, -1, -3])
 def test_majority_amplification_refuses_an_empty_vote(repeats):
-    def runner(_i):
-        raise AssertionError("a refused vote runs nothing")
-
-    with pytest.raises(ValueError, match="at least one run"):
-        amplify_majority(runner, repeats)
     with pytest.raises(ValueError, match="at least one run"):
         amplify_majority_exact(1, repeats)
 

@@ -308,6 +308,41 @@ def test_verify_rejects_malformed_analog_files(tmp_path, capsys):
     assert "malformed network spec" in capsys.readouterr().err
 
 
+# a rule list that is a string or an object read as no rules at all
+NOT_ROWS = ("", {})
+
+
+def test_verify_refuses_tm_rules_that_are_not_rows(
+        tmp_path, parity_files, capsys):
+    _, np = parity_files
+    cp = write_corpus(tmp_path / "c.txt", ["", "1"])
+    for rows in NOT_ROWS:
+        bad = write_json(tmp_path / "bad.tm",
+                         {**parity_tm().to_json(), "trans": rows})
+        assert main(["verify", bad, np, "--corpus", cp]) == 2
+        assert_one_error(capsys, "'trans' must be a list of rows of 5 entries")
+
+
+def test_verify_refuses_tma_rules_that_are_not_rows(tmp_path, capsys):
+    m = advice_eater_tma()
+    ap = write_json(tmp_path / "eater.ann",
+                    ann_from_tma(m, eater_stream(8)).to_json())
+    cp = write_corpus(tmp_path / "c.txt", ["", "1"])
+    for rows in NOT_ROWS:
+        bad = write_json(tmp_path / "bad.tma", {**m.to_json(), "trans": rows})
+        assert main(["verify", bad, ap, "--corpus", cp]) == 2
+        assert_one_error(capsys, "'trans' must be a list of rows of 7 entries")
+
+
+def test_compile_refuses_stack_machine_rows_that_are_not_rows(tmp_path, capsys):
+    out = tmp_path / "x.rnn"
+    for rows in NOT_ROWS:
+        mp = write_json(tmp_path / "bad.sm", {**dyck_sm().to_json(), "rows": rows})
+        assert main(["compile", mp, "--out", str(out)]) == 2
+        assert_one_error(capsys, "'rows' must be a list of rows of 5 entries")
+    assert not out.exists()
+
+
 def test_verify_refuses_state_names_that_are_not_strings(
         tmp_path, parity_files, capsys):
     mp, np = parity_files
@@ -448,6 +483,22 @@ def test_stochastic_suite_refuses_state_names_that_are_not_strings(
                      "--out", str(out)]) == 2
         assert_one_error(capsys, "is not a string")
         assert not out.exists()
+
+
+def test_stochastic_suite_refuses_ptm_rules_that_are_not_rows(
+        tmp_path, suite_files, capsys):
+    sp, _ = suite_files
+    fixed = {"type": "ptm", "initial": "go",
+             "trans0": [["go", "_", "_", "S", "accept"]],
+             "trans1": [["go", "_", "_", "S", "reject"]]}
+    out = tmp_path / "records.jsonl"
+    for key in ("trans0", "trans1"):
+        for rows in NOT_ROWS:
+            pp = write_json(tmp_path / "bad.ptm", {**fixed, key: rows})
+            assert main(["stochastic-suite", sp, pp, "--trials", "5",
+                         "--out", str(out)]) == 2
+            assert_one_error(capsys, f"'{key}' must be a list of rows of 5 entries")
+            assert not out.exists()
 
 
 def test_stochastic_suite_accepts_fixed_ptm(tmp_path, suite_files):

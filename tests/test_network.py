@@ -6,15 +6,23 @@ oracle script and frozen here.
 
 import json
 import math
+from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from exactrnn import cli, network
+from exactrnn.augmented import calibrate_c
+from exactrnn.compiler import CompiledNetwork, compile_machine
 from exactrnn.errors import ProtocolViolation, UndefinedThreshold
+from exactrnn.machines import stack_run, tm_to_stack
 from exactrnn.network import (
-    Decision, NetworkState, RnnConfig, common_factor, run_word, step, theta)
+    Decision, NetworkState, RnnConfig, common_factor, input_at, run_word, step,
+    theta)
 from exactrnn.words import as_rat
+from exactrnn.zoo import dyck_sm, majority3_snn, parity_tm, two_thirds_stream
 
 R = as_rat
 
@@ -161,14 +169,6 @@ def test_config_json_roundtrip():
     assert a.trace == b.trace
 
 
-def test_trace_lines():
-    cfg = bias_net()
-    d = run_word(cfg, "", max_steps=3, want_trace=True)
-    lines = list(d.trace_lines())
-    assert lines[0].startswith("t=1")
-    assert "y=(1,1)" in lines[0].replace(" ", "")
-
-
 def test_three_input_column_rejected_without_flag():
     with pytest.raises(ValueError):
         RnnConfig(k=1, w_in={(0, 3): 1}, w_res={}, w_out={}, h0=[0])
@@ -198,3 +198,116 @@ def factor_cases(draw):
 def test_common_factor_is_the_gcd(case):
     one, nums = case
     assert common_factor(one, *nums) == math.gcd(one, *nums)
+
+
+# ------------------------------------------------------------ step kernels
+
+README_CORPUS = ["", "0", "1", "01", "0110", "10101"]
+
+
+def compiled_parity(tmp_path):
+    """The README's parity files: machine, compiled network, corpus."""
+    mp = tmp_path / "parity.tm"
+    mp.write_text(json.dumps(parity_tm().to_json()))
+    np = tmp_path / "parity.rnn"
+    assert cli.main(["compile", str(mp), "--out", str(np)]) == 0
+    cp = tmp_path / "corpus.txt"
+    cp.write_text("".join((w or "-") + "\n" for w in README_CORPUS))
+    return str(mp), str(np), str(cp)
+
+
+def test_readme_verify_and_calibration_stay_cold(tmp_path, kernels_built):
+    mp, np, cp = compiled_parity(tmp_path)
+    assert cli.main(["verify", mp, np, "--corpus", cp]) == 0
+    net = CompiledNetwork.from_json(json.loads(Path(np).read_text()))
+    corpus = [w for w in README_CORPUS if len(w) <= 2]
+    ceiling = max(stack_run(net.machine, w, 10 ** 5).tau for w in corpus)
+    calibrate_c(net.cfg, corpus, lambda n: net.time_bound(n, ceiling))
+    assert kernels_built == []
+
+
+def compiled_nets():
+    return [compile_machine(tm_to_stack(parity_tm())), compile_machine(dyck_sm())]
+
+
+def short_words(n):
+    return ["".join(b) for k in range(n + 1) for b in product("01", repeat=k)]
+
+
+def run_compiled(net, w):
+    s = stack_run(net.machine, w, 10 ** 5)
+    d = run_word(net.cfg, w, net.time_bound(len(w), s.tau))
+    assert (d.kind, d.tau) == (s.kind, 6 * len(w) + 5 * s.tau + 6)
+    return d
+
+
+def test_a_word_run_again_on_a_hot_config_builds_no_kernel(hot):
+    net = compiled_nets()[0]
+    first = run_compiled(net, "0110100")
+    built = len(hot)
+    assert built and all(hot)
+    again = run_compiled(net, "0110100")
+    assert len(hot) == built
+    assert (again.kind, again.tau) == (first.kind, first.tau)
+
+
+def test_parity_and_dyck_stay_under_the_kernel_cap(hot):
+    for net in compiled_nets():
+        for w in short_words(8):
+            run_compiled(net, w)
+        assert 0 < len(net.cfg._kernels) < network._MAX_KERNELS
+    assert all(hot)
+
+
+def stay_cold(cfg):
+    """cfg, kept on the interpreted loop however many steps it takes."""
+    cfg._cold_steps = -10 ** 9
+    return cfg
+
+
+def test_kernels_insert_cells_in_the_order_of_the_loop(hot):
+    # the next kernel is looked up by the order of the live cells, so a
+    # kernel that inserted them in another order would split one pattern
+    # into several
+    for net, cold in zip(compiled_nets(), compiled_nets()):
+        stay_cold(cold.cfg)
+        for w in short_words(3) + ["0110100"]:
+            s = stack_run(net.machine, w, 10 ** 5).tau
+            a = b = net.cfg._start
+            for t in range(6 * len(w) + 5 * s + 6):
+                x = input_at(w, t, 2)
+                (a, ya), (b, yb) = step(net.cfg, a, x), step(cold.cfg, b, x)
+                assert (list(a.nums.items()), a.den, ya) \
+                    == (list(b.nums.items()), b.den, yb)
+        assert net.cfg._kernels and cold.cfg._kernels is None
+
+
+def test_patterns_past_the_cap_take_the_interpreted_loop(hot, monkeypatch):
+    monkeypatch.setattr(network, "_MAX_KERNELS", 3)
+    cold, capped = stay_cold(compiled_nets()[0].cfg), compiled_nets()[0].cfg
+    for w in short_words(3):
+        a = run_word(cold, w, 400, want_trace=True)
+        b = run_word(capped, w, 400, want_trace=True)
+        assert (a.kind, a.tau, a.trace) == (b.kind, b.tau, b.trace)
+    assert cold._kernels is None and len(capped._kernels) == 3
+    assert hot[:3] == list(capped._kernels.values()) and not any(hot[3:])
+
+
+def test_inputs_other_than_int_tuples_take_the_interpreted_loop(hot):
+    cfg = RnnConfig(k=2, w_in={(0, 0): R(1) / 2, (1, 2): R(1) / 3},
+                    w_res={(1, 0): 1})
+    for x in ([1, 1], (True, 1)):
+        nxt, y = step(cfg, cfg._start, x)
+        assert (nxt.h, y) == ((R(1) / 2, R(1) / 3), (0, 0))
+    assert cfg._kernels == {} and hot == [None]     # a list is not looked up
+    nxt, _y = step(cfg, cfg._start, (1, 1))
+    assert nxt.h == (R(1) / 2, R(1) / 3) and len(cfg._kernels) == 1
+
+
+def test_a_net_with_a_third_input_line_never_turns_hot(hot):
+    # majority of three coins: its live cells follow the coin line
+    snn = majority3_snn(two_thirds_stream())
+    for coins in product((0, 1), repeat=4):
+        assert run_word(snn.base, "", 4, x2=coins).tau == 4
+    assert snn.base._cold_steps == 0 and snn.base._kernels is None
+    assert hot == []

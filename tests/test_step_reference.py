@@ -8,13 +8,16 @@ same way, from ``truncate_config`` and ``trunc_frac`` on every cell.
 Both read only the public rational weight dictionaries, so they share
 no arithmetic with the code under test.  Every comparison demands the
 same states, the same output pairs, the same decisions, and the same
-error type and message.
+error type and message.  The step and truncated-loop cases run twice:
+as written, where every config stays cold and takes the interpreted
+loop, and with every config hot from its first step, where each short
+step runs a generated kernel.
 """
 
 import itertools
 import math
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from exactrnn import augmented as aug
@@ -516,3 +519,52 @@ def test_ann_run_matches_reference_on_random_rational_configs(cfg, data):
     steps = len(w) + 4
     ann_decisions_agree(a, w, steps, start_bits=start, max_bits=cap)
     assert_interval_steps_agree(a, w, steps, start)
+
+
+# ---------------------------------------------------------- hot configs
+# (the hot fixture is in conftest.py)
+
+
+def test_kernels_match_reference_on_compiled_parity_and_dyck(hot):
+    test_step_matches_reference_on_compiled_parity_and_dyck()
+    assert len(hot) > 100 and all(hot)
+
+
+def test_kernels_match_reference_on_zoo_nets(hot):
+    # only the analog net turns hot; the coin and evolving-bit nets
+    # have a third input line
+    test_step_matches_reference_on_zoo_nets()
+    assert hot and all(hot)
+
+
+def test_kernels_hand_over_to_the_long_branch_like_reference(hot):
+    test_step_matches_reference_on_the_long_evolving_stack()
+    test_step_matches_reference_on_a_long_odd_denominator()
+    assert hot and all(hot)          # the odd-denominator net starts short
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sparse_configs(), st.data())
+def test_kernels_match_reference_on_random_rational_configs(hot, cfg, data):
+    xs = data.draw(st.lists(st.tuples(*[st.integers(0, 1)] * cfg.n_in),
+                            max_size=10))
+    assert_steps_agree(cfg, xs)
+
+
+def test_kernels_run_the_truncated_loops_like_reference(hot):
+    test_truncated_loop_matches_reference_on_compiled_nets()
+    test_truncated_runs_match_reference_on_analog_and_evolving_nets()
+    test_truncated_loop_raises_like_reference_where_calibration_fails()
+    test_truncated_state_not_the_uncut_one_drives_the_output()
+    assert hot and all(hot)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sparse_configs(), st.integers(1, 12), st.text("01", max_size=4),
+       st.lists(st.integers(0, 1), min_size=8, max_size=8))
+def test_kernels_run_random_truncated_loops_like_reference(hot, cfg, q, w, x2):
+    steps = len(w) + 4
+    assert decision(lambda: aug._truncated_loop(cfg, w, steps, q, x2)) \
+        == decision(lambda: fraction_truncated_loop(cfg, w, steps, q, x2))

@@ -236,13 +236,6 @@ def test_stream_from_rational():
     assert s.value == R(2) / 3
 
 
-def test_stream_from_function():
-    s = BitStream.from_function(lambda i: i % 3 == 0)
-    assert s.prefix(7) == "1001001"
-    assert s.value is None
-    assert s.bit(30) == 1 and s.bit(31) == 0
-
-
 def test_stream_prng_repeatable():
     a = BitStream.from_prng(99)
     b = BitStream.from_prng(99)
@@ -250,19 +243,6 @@ def test_stream_prng_repeatable():
     assert set(a.prefix(64)) <= {"0", "1"}
     assert a.mathematical is False
     assert BitStream.from_rational(R(1) / 2).mathematical is True
-
-
-def test_stream_memoization_is_stable():
-    calls = []
-
-    def f(i):
-        calls.append(i)
-        return i % 2
-
-    s = BitStream.from_function(f)
-    s.prefix(10)
-    s.prefix(10)
-    assert calls == list(range(10))
 
 
 def test_stream_prefix_after_mixed_reads_and_negative_lengths():
@@ -298,5 +278,3 @@ def test_stream_json_roundtrip():
         t = BitStream.from_json(json.loads(blob))
         assert t.prefix(40) == s.prefix(40)
         assert t.value == s.value
-    with pytest.raises(ValueError):
-        BitStream.from_function(lambda i: 0).to_json()

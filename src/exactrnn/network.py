@@ -21,15 +21,16 @@ the operands and a gcd of the odd part only.
 A compiled network's live cells follow its finite control, not the
 word, so a long run meets the same few hundred (live cells, input)
 patterns over and over.  Once a config of two input lines has taken
-_HOT_STEPS short steps it is hot, and each such pattern it meets gets
-a step kernel: a straight-line function, generated from the config's
-integer weights and compiled once, that does what the interpreted
-short loop does for that pattern, readout included, in half the time.
-The interpreted loop stays the path of a cold config, because a kernel
-costs as much to build as about a hundred interpreted steps, and a
-one-shot command such as the README verify meets each of its patterns
-a few times at most.  A net with a third input line (coins or evolving
-bits) never turns hot: its live cells follow that line too.
+_HOT_STEPS short steps it is hot, and each such pattern it meets
+_SIGHTINGS times gets a step kernel: a straight-line function,
+generated from the config's integer weights and compiled once, that
+does what the interpreted short loop does for that pattern, readout
+included, in about half the time.  The interpreted loop stays the path
+of a cold config and of a rare pattern, because a kernel costs as much
+to build as about a hundred interpreted steps, and a one-shot command
+such as the README verify meets each of its patterns a few times at
+most.  A net with a third input line (coins or evolving bits) never
+turns hot: its live cells follow that line too.
 
 Word I/O protocol: bit i of the word arrives as x_0 = w_i with
 validation x_1 = 1, input then goes silent (0,0).  The network answers
@@ -136,9 +137,11 @@ class RnnConfig:
         # they never go stale
         self._derived = {}
         # short steps taken cold, and once there were _HOT_STEPS of them
-        # the step kernels built so far (see step); immutable as above
+        # the step kernels built so far and the short steps taken per
+        # pattern without one (see step); immutable as above
         self._cold_steps = 0
         self._kernels = None
+        self._sightings = None
 
     def readout(self, state):
         """Output pair theta(W_out h) of a state."""
@@ -266,12 +269,20 @@ def common_factor(one, *nums):
     return math.gcd(odd, *nums) << ((low & -low).bit_length() - 1)
 
 
-# A config turns hot after this many short steps (see step).  A kernel
-# takes about 0.5 ms to build and saves about 3 us a step on compiled
-# parity, so it pays after some 170 uses: only a config that has run
-# for thousands of steps is likely to give it those.  The README verify
-# takes 429 steps and one calibrate_c of compiled parity 376.
+# A config turns hot after this many short steps (see step), and a hot
+# config builds the kernel of a pattern on the pattern's _SIGHTINGS-th
+# short step.  A kernel takes about 0.4 ms to build and saves 2-5 us a
+# step on compiled parity and Dyck, so it pays after some 80-170 uses.
+# Building on the 128th is the rent-or-buy rule: no pattern costs much
+# more than twice what it would with the best choice made knowing how
+# often it comes.  Built on first
+# sight, the kernels made CLI verify of compiled-verify's 57 Dyck words
+# (6440 steps) about 30 % slower than the cold loop; built on the
+# 128th, it is within 10 %, and every word of length 8 or less is still
+# 15-20 % faster.  The README verify takes 429 steps and one
+# calibrate_c of compiled parity 376, so neither counts a pattern.
 _HOT_STEPS = 4096
+_SIGHTINGS = 128
 # Kernels kept per config, about 2.4 KB each; patterns past the cap run
 # the interpreted loop.  Compiled parity meets 250 patterns over every
 # word of length 8 or less, compiled Dyck 102.
@@ -283,24 +294,19 @@ _KERNEL_GLOBALS = {"gcd": math.gcd, "state": NetworkState._sparse,
 
 
 def _kernel(cfg, state, x):
-    """The step kernel of cfg for the live cells of state and input x:
-    built, kept on cfg and returned, or None when cfg keeps
-    _MAX_KERNELS already or x is not all int.
+    """The step kernel of cfg for the live cells of state and input x,
+    built and kept on cfg; None when x is not all int.
 
     A kernel is step's short branch unrolled for one pattern: each
     target cell's sum is one expression in the live numerators m0, m1,
     ... with integer literals for weights, inputs and bias folded
     together, written in the order the interpreted loop inserts the
     cells, so that both paths give the same next state, key included.
-    Every live numerator lies in (0, den], so the signs of a sum's
-    coefficients bound it: a sum that cannot pass 0 is left out, one
-    that cannot fall below one is one, and the tests against 0 and one
-    are written only where the sum can cross them.  The kernel reads
-    out the sums before they are brought to lowest terms, which leaves
-    every comparison with one and every readout value unchanged.
+    The kernel reads out the sums before they are brought to lowest
+    terms, which leaves every comparison with one and every readout
+    value unchanged.
     """
-    kernels = cfg._kernels
-    if len(kernels) >= _MAX_KERNELS or any(type(v) is not int for v in x):
+    if any(type(v) is not int for v in x):
         return None
     live = tuple(state.nums)
     consts = dict.fromkeys(cfg._pos_bias, 0)
@@ -324,27 +330,15 @@ def _kernel(cfg, state, x):
         c += cfg._bias_map.get(i, 0)
         parts = ([(c, "den")] if c else []) + terms.get(i, [])
         assert all(type(w) is int for w, _m in parts)
-        # the sum lies between lo * den and hi * den, and exceeds
-        # lo * den when a positive weight reads a live cell
-        hi = c + sum(w for w, m in parts if w > 0 and m != "den")
-        lo = c + sum(w for w, m in parts if w < 0 and m != "den")
-        if hi <= 0:
+        if not parts:
             continue
         emitted.add(i)
         v = f"v{i}"
-        if lo >= cfg._den:
-            lines.append(f"    nums[{i}] = {v} = one")
-            continue
-        lines.append(f"    {v} = {' + '.join(f'{w} * {m}' for w, m in parts)}")
-        store = [f"nums[{i}] = {v}"]
-        if hi > cfg._den:
-            store[:0] = [f"if {v} > one:", f"    {v} = one"]
-        if lo > 0 or (lo == 0 and hi > c):
-            lines += [f"    {ln}" for ln in store]
-        else:
-            lines += [f"    if {v} > 0:"] + [f"        {ln}" for ln in store]
-            if i in read:
-                lines.append(f"    else:\n        {v} = 0")
+        lines += [f"    {v} = {' + '.join(f'{w} * {m}' for w, m in parts)}",
+                  f"    if {v} > 0:",
+                  f"        nums[{i}] = {v} = {v} if {v} < one else one"]
+        if i in read:
+            lines += ["    else:", f"        {v} = 0"]
     ys = []
     for r, row in enumerate(cfg._out_rows):
         parts = [f"{w} * v{j}" for j, w in row if j in emitted]
@@ -362,7 +356,7 @@ def _kernel(cfg, state, x):
               f"    return state(s.t + 1, {cfg.k}, one, nums), ({ys[0]}, {ys[1]})"]
     scope = {}
     exec(compile("\n".join(lines), "<step kernel>", "exec"), _KERNEL_GLOBALS, scope)
-    kernels[live, x] = kern = scope["kernel"]
+    cfg._kernels[live, x] = kern = scope["kernel"]
     return kern
 
 
@@ -389,12 +383,13 @@ def step(cfg, state, x):
 
     Each config counts its short steps.  After _HOT_STEPS of them a
     config of two input lines is hot: a short step looks up the kernel
-    of (the state's live cells, x), builds it on first sight (see
-    _kernel), and returns what the kernel returns, the same state and
-    output pair as the loop.  A pattern past the cap of _MAX_KERNELS
-    kernels, or an input that is not a tuple of ints, takes the loop.
-    Kernels rely on every cell of state lying in [0, 1], as every state
-    of a run does.
+    of (the state's live cells, x) and returns what the kernel returns,
+    the same state and output pair as the loop.  A pattern without a
+    kernel takes the loop, and a hot config counts its steps: on the
+    _SIGHTINGS-th the kernel is built (see _kernel), unless the config
+    keeps _MAX_KERNELS already or x is not a tuple of ints.  A cold
+    config counts no pattern, so that a one-shot command pays one
+    counter a step and builds nothing.
     """
     if len(x) != cfg.n_in:
         raise ValueError(f"expected {cfg.n_in} input lines, got {len(x)}")
@@ -407,8 +402,15 @@ def step(cfg, state, x):
                 cfg._cold_steps += 1
             elif cfg.n_in == 2:
                 kernels = cfg._kernels = {}
+                cfg._sightings = {}
         if kernels is not None and type(x) is tuple:
-            kern = kernels.get((tuple(state.nums), x)) or _kernel(cfg, state, x)
+            key = (tuple(state.nums), x)
+            kern = kernels.get(key)
+            if kern is None:
+                seen = cfg._sightings
+                n = seen[key] = seen.get(key, 0) + 1
+                if n == _SIGHTINGS and len(kernels) < _MAX_KERNELS:
+                    kern = _kernel(cfg, state, x)
             if kern:
                 return kern(state)
     res = cfg._res_by_col

@@ -22,7 +22,9 @@ def kernels_built(monkeypatch):
 
 @pytest.fixture
 def hot(monkeypatch, kernels_built):
-    """Every config hot from its first step, so that each short step
-    runs a kernel; returns the kernels built."""
+    """Every config hot from its first step and every pattern given its
+    kernel on first sight, so that each short step runs a kernel;
+    returns the kernels built."""
     monkeypatch.setattr(network, "_HOT_STEPS", 0)
+    monkeypatch.setattr(network, "_SIGHTINGS", 1)
     return kernels_built

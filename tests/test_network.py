@@ -251,6 +251,18 @@ def test_a_word_run_again_on_a_hot_config_builds_no_kernel(hot):
     assert (again.kind, again.tau) == (first.kind, first.tau)
 
 
+def test_a_hot_config_builds_a_kernel_on_the_last_sighting(kernels_built,
+                                                           monkeypatch):
+    monkeypatch.setattr(network, "_HOT_STEPS", 0)
+    cfg = compiled_nets()[0].cfg
+    outs = [step(cfg, cfg._start, (0, 1))
+            for _ in range(network._SIGHTINGS - 1)]
+    assert kernels_built == [] and cfg._kernels == {}
+    outs += [step(cfg, cfg._start, (0, 1)) for _ in range(3)]
+    assert len(kernels_built) == 1 and kernels_built[0]
+    assert len({(tuple(s.nums.items()), s.den, y) for s, y in outs}) == 1
+
+
 def test_parity_and_dyck_stay_under_the_kernel_cap(hot):
     for net in compiled_nets():
         for w in short_words(8):
@@ -290,17 +302,19 @@ def test_patterns_past_the_cap_take_the_interpreted_loop(hot, monkeypatch):
         b = run_word(capped, w, 400, want_trace=True)
         assert (a.kind, a.tau, a.trace) == (b.kind, b.tau, b.trace)
     assert cold._kernels is None and len(capped._kernels) == 3
-    assert hot[:3] == list(capped._kernels.values()) and not any(hot[3:])
+    assert hot == list(capped._kernels.values())     # none tried past the cap
 
 
 def test_inputs_other_than_int_tuples_take_the_interpreted_loop(hot):
     cfg = RnnConfig(k=2, w_in={(0, 0): R(1) / 2, (1, 2): R(1) / 3},
                     w_res={(1, 0): 1})
-    for x in ([1, 1], (True, 1)):
+    for x in ([1, 1], (True, 1), (1, 1)):
         nxt, y = step(cfg, cfg._start, x)
         assert (nxt.h, y) == ((R(1) / 2, R(1) / 3), (0, 0))
-    assert cfg._kernels == {} and hot == [None]     # a list is not looked up
-    nxt, _y = step(cfg, cfg._start, (1, 1))
+    # a list is not looked up, (True, 1) is refused a kernel, and the
+    # equal key (1, 1) is not tried again
+    assert cfg._kernels == {} and hot == [None]
+    nxt, _y = step(cfg, cfg._start, (1, 0))
     assert nxt.h == (R(1) / 2, R(1) / 3) and len(cfg._kernels) == 1
 
 

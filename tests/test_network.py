@@ -169,6 +169,12 @@ def test_config_json_roundtrip():
     assert a.trace == b.trace
 
 
+def test_state_cells_outside_the_unit_interval_rejected():
+    for h in ((R(3) / 2,), (R(0), R(-1) / 4)):
+        with pytest.raises(ValueError, match="must lie in"):
+            NetworkState(0, h)
+
+
 def test_three_input_column_rejected_without_flag():
     with pytest.raises(ValueError):
         RnnConfig(k=1, w_in={(0, 3): 1}, w_res={}, w_out={}, h0=[0])

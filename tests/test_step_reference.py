@@ -543,6 +543,16 @@ def test_kernels_hand_over_to_the_long_branch_like_reference(hot):
     assert hot and all(hot)          # the odd-denominator net starts short
 
 
+def test_kernels_clamp_sums_at_the_edge_of_their_bounds(hot):
+    # cell 0: bias 1/2 and a self-loop of 1, so its sum can reach one
+    # and a half, one unit over one; cell 1: bias 1/2 less half of
+    # cell 0, so it can reach 0 exactly but not pass it
+    cfg = RnnConfig(k=2, w_in={(0, 2): R(1) / 2, (1, 2): R(1) / 2},
+                    w_res={(0, 0): 1, (1, 0): R(-1) / 2})
+    assert_steps_agree(cfg, [(0, 0)] * 4)
+    assert len(hot) == 3 and all(hot)
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(sparse_configs(), st.data())

@@ -198,12 +198,12 @@ class NetworkState:
 
     def __init__(self, t, h):
         h = tuple(as_rat(v) for v in h)
-        if any(not (0 <= v <= 1) for v in h):
-            raise ValueError("state cells must lie in [0,1]")
         den = math.lcm(*(v.denominator for v in h))
         self.t, self.k, self.den, self._h = t, len(h), den, h
         self.nums = {i: int(v.numerator * (den // v.denominator))
                      for i, v in enumerate(h) if v}
+        if any(not 0 < m <= den for m in self.nums.values()):
+            raise ValueError("state cells must lie in [0,1]")
 
     @classmethod
     def _sparse(cls, t, k, den, nums):

@@ -27,9 +27,8 @@ generated from the config's integer weights and compiled once, that
 does what the interpreted short loop does for that pattern, readout
 included, in about half the time.  The interpreted loop stays the path
 of a cold config and of a rare pattern, because a kernel costs as much
-to build as about a hundred interpreted steps, and a one-shot command
-such as the README verify meets each of its patterns a few times at
-most.  A net with a third input line (coins or evolving bits) never
+to build as a few dozen interpreted steps, and a one-shot command such
+as the README verify meets each of its patterns a few times at most.  A net with a third input line (coins or evolving bits) never
 turns hot: its live cells follow that line too.
 
 Word I/O protocol: bit i of the word arrives as x_0 = w_i with
@@ -274,16 +273,16 @@ def common_factor(one, *nums):
 
 # A config turns hot after this many short steps (see step), and a hot
 # config builds the kernel of a pattern on the pattern's _SIGHTINGS-th
-# short step.  A kernel takes about 0.4 ms to build and saves 2-5 us a
-# step on compiled parity and Dyck, so it pays after some 80-170 uses.
-# Building on the 128th is the rent-or-buy rule: no pattern costs much
-# more than twice what it would with the best choice made knowing how
-# often it comes.  Built on first
-# sight, the kernels made CLI verify of compiled-verify's 57 Dyck words
-# (6440 steps) about 30 % slower than the cold loop; built on the
-# 128th, it is within 10 %, and every word of length 8 or less is still
-# 15-20 % faster.  The README verify takes 429 steps and one
-# calibrate_c of compiled parity 376, so neither counts a pattern.
+# short step.  A kernel takes 0.2-0.4 ms to build and saves 3-5 us a
+# step on compiled parity and Dyck, so it pays after some 50-130 uses;
+# building on the 128th spends a build only on a pattern that has
+# shown it comes often.  Built on first sight, kernels made CLI verify
+# of compiled-verify's 57 Dyck words (6440 steps) 20 % slower than the
+# cold loop; built on the 128th, that run and the one of its 57 parity
+# words read within 6 % of the loop, and every word of length 8 or
+# less reads 20 % faster (fresh processes, medians).  The README verify
+# takes 429 steps and one calibrate_c of compiled parity 376, so
+# neither counts a pattern.
 _HOT_STEPS = 4096
 _SIGHTINGS = 128
 # Kernels kept per config, about 2.4 KB each; patterns past the cap run

@@ -275,16 +275,19 @@ def common_factor(one, *nums):
 # config builds the kernel of a pattern on the pattern's _SIGHTINGS-th
 # short step.  A kernel takes 0.2-0.4 ms to build and saves 3-5 us a
 # step on compiled parity and Dyck, so it pays after some 50-130 uses;
-# building on the 128th spends a build only on a pattern that has
-# shown it comes often.  Built on first sight, kernels made CLI verify
-# of compiled-verify's 57 Dyck words (6440 steps) 20 % slower than the
-# cold loop; built on the 128th, that run and the one of its 57 parity
-# words read within 6 % of the loop, and every word of length 8 or
-# less reads 20 % faster (fresh processes, medians).  The README verify
-# takes 429 steps and one calibrate_c of compiled parity 376, so
-# neither counts a pattern.
+# building on the 16th spends a build only on a pattern that has shown
+# it comes again and again.  Built on first sight, kernels made CLI
+# verify of compiled-verify's 57 Dyck words (6440 steps) 20 % slower
+# than the cold loop; built on the 16th, that run and the one of its 57
+# parity words read no slower than the loop, and every word of length
+# 8 or less reads 25-39 % faster (fresh processes, medians).  A later
+# threshold leaves a repeated job slow for longer: one calibrate_c of
+# compiled parity meets each of its 228 patterns 2-12 times, so on the
+# 128th sighting it took about 100 calibrations to warm up, and on the
+# 16th it takes about 15.  The README verify takes 429 steps and one
+# calibrate_c of compiled parity 376, so neither counts a pattern.
 _HOT_STEPS = 4096
-_SIGHTINGS = 128
+_SIGHTINGS = 16
 # Kernels kept per config, about 2.4 KB each; patterns past the cap run
 # the interpreted loop.  Compiled parity meets 250 patterns over every
 # word of length 8 or less, compiled Dyck 102.

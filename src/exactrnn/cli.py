@@ -208,6 +208,9 @@ def _verify_pair(md, nd, args):
     pair."""
     kind = md.get("type")
     bound = args.max_steps
+    for path, d in ((args.machine, md), (args.network, nd)):
+        if not isinstance(d.get("type"), (str, type(None))):
+            raise UsageError(f"{path}: \"type\" is not a string")
 
     if nd.get("type") in ADVICE_NETS:
         name, spec_cls, stream = ADVICE_NETS[nd["type"]]

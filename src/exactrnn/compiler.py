@@ -362,6 +362,9 @@ class CompiledNetwork:
         if any(type(cs[k]) is not int or cs[k] != v    # JSON true is no int
                for k, v in CONSTANTS.items()):
             raise ValueError(f"constants must be the integers {CONSTANTS}")
+        if d["machine"].get("type") != "stack-machine":
+            raise ValueError("the machine of a compiled network must be of "
+                             "type 'stack-machine'")
         machine = StackMachineSpec.from_json(d["machine"])
         return cls(cfg=RnnConfig.from_json(d["cfg"]), layout=dict(d["layout"]),
                    machine=machine, program=assemble_program(machine))

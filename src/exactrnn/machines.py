@@ -46,11 +46,14 @@ def _check_states(*names):
 
 def _rows(d, key, width):
     """d[key] as read from a spec file: a list of rows, each a list of
-    width entries."""
+    width entries, and at least one unless the initial state halts."""
     rows = d[key]
     if not (isinstance(rows, list)
             and all(isinstance(r, list) and len(r) == width for r in rows)):
         raise ValueError(f"{key!r} must be a list of rows of {width} entries")
+    if not rows and d["initial"] not in TERMINALS:
+        raise ValueError(f"{key!r} holds no rule, so initial state "
+                         f"{d['initial']!r} is stuck")
     return rows
 
 

@@ -20,16 +20,19 @@ the operands and a gcd of the odd part only.
 
 A compiled network's live cells follow its finite control, not the
 word, so a long run meets the same few hundred (live cells, input)
-patterns over and over.  Once a config of two input lines has taken
-_HOT_STEPS short steps it is hot, and each such pattern it meets
+patterns over and over, and so does the advice replay of an evolving
+net.  A config that has taken _HOT_STEPS steps turns hot if it has two
+input lines or its step is long, and each pattern it then meets
 _SIGHTINGS times gets a step kernel: a straight-line function,
 generated from the config's integer weights and compiled once, that
-does what the interpreted short loop does for that pattern, readout
-included, in about half the time.  The interpreted loop stays the path
-of a cold config and of a rare pattern, because a kernel costs as much
-to build as a few dozen interpreted steps, and a one-shot command such
-as the README verify meets each of its patterns a few times at most.  A net with a third input line (coins or evolving bits) never
-turns hot: its live cells follow that line too.
+does what the interpreted loop does for that pattern at either size,
+readout included, in about half the time.  The interpreted loop stays
+the path of a cold config and of a rare pattern, because a kernel
+costs as much to build as a few dozen interpreted steps, and a
+one-shot command such as the README verify meets each of its patterns
+a few times at most.  A net whose third input line (coins) drives its
+live cells and whose steps stay short, such as majority of three,
+never turns hot.
 
 Word I/O protocol: bit i of the word arrives as x_0 = w_i with
 validation x_1 = 1, input then goes silent (0,0).  The network answers
@@ -135,9 +138,9 @@ class RnnConfig:
         # biases), built once on first use; the config is immutable, so
         # they never go stale
         self._derived = {}
-        # short steps taken cold, and once there were _HOT_STEPS of them
-        # the step kernels built so far and the short steps taken per
-        # pattern without one (see step); immutable as above
+        # steps taken cold, and once there were _HOT_STEPS of them the
+        # step kernels built so far and the steps taken per pattern
+        # still without one (see step); immutable as above
         self._cold_steps = 0
         self._kernels = None
         self._sightings = None
@@ -271,10 +274,11 @@ def common_factor(one, *nums):
     return math.gcd(odd, *nums) << ((low & -low).bit_length() - 1)
 
 
-# A config turns hot after this many short steps (see step), and a hot
+# A config turns hot after this many steps (see step), and a hot
 # config builds the kernel of a pattern on the pattern's _SIGHTINGS-th
-# short step.  A kernel takes 0.2-0.4 ms to build and saves 3-5 us a
-# step on compiled parity and Dyck, so it pays after some 50-130 uses;
+# step.  A kernel takes 0.2-0.4 ms to build and saves 3-5 us a
+# step on compiled parity and Dyck (about 8 of 17 us on a long step of
+# the advice-eater replay), so it pays after some 50-130 uses;
 # building on the 16th spends a build only on a pattern that has shown
 # it comes again and again.  Built on first sight, kernels made CLI
 # verify of compiled-verify's 57 Dyck words (6440 steps) 20 % slower
@@ -285,16 +289,20 @@ def common_factor(one, *nums):
 # compiled parity meets each of its 228 patterns 2-12 times, so on the
 # 128th sighting it took about 100 calibrations to warm up, and on the
 # 16th it takes about 15.  The README verify takes 429 steps and one
-# calibrate_c of compiled parity 376, so neither counts a pattern.
+# calibrate_c of compiled parity 376, so neither counts a pattern; a
+# one-shot verify of the advice-eater pair (eater_stream(8)) on the
+# README corpus takes 3729, so it builds none either.
 _HOT_STEPS = 4096
 _SIGHTINGS = 16
-# Kernels kept per config, about 2.4 KB each; patterns past the cap run
-# the interpreted loop.  Compiled parity meets 250 patterns over every
-# word of length 8 or less, compiled Dyck 102.
+# Kernels kept per config, about 2.6 KB each with its key (2.2 KB of
+# code); patterns past the cap run the interpreted loop.  Compiled
+# parity meets 250 patterns over every word of length 8 or less,
+# compiled Dyck 102, the advice-eater replay 225.
 _MAX_KERNELS = 512
 
 
-_KERNEL_GLOBALS = {"gcd": math.gcd, "state": NetworkState._sparse,
+_KERNEL_GLOBALS = {"gcd": math.gcd, "common_factor": common_factor,
+                   "LONG": _LONG, "state": NetworkState._sparse,
                    "theta": theta, "Rat": Rat}
 
 
@@ -302,11 +310,15 @@ def _kernel(cfg, state, x):
     """The step kernel of cfg for the live cells of state and input x,
     built and kept on cfg; None when x is not all int.
 
-    A kernel is step's short branch unrolled for one pattern: each
-    target cell's sum is one expression in the live numerators m0, m1,
-    ... with integer literals for weights, inputs and bias folded
+    A kernel is step's loop unrolled for one pattern, at either size:
+    each target cell's sum is one expression in the live numerators m0,
+    m1, ... with integer literals for weights, inputs and bias folded
     together, written in the order the interpreted loop inserts the
     cells, so that both paths give the same next state, key included.
+    Past 64 bits it multiplies a cell at one like any other, where
+    step's long branch adds its weight as a whole number; the sums are
+    the same, and so is the common factor, taken by size as step takes
+    it.
     Every live numerator lies in (0, den], so the signs of a sum's
     coefficients bound it: a sum that cannot pass 0 is left out, one
     that cannot fall below one is one, and the tests against 0 and one
@@ -370,10 +382,13 @@ def _kernel(cfg, state, x):
                   f"    y{r} = 0 if r{r} <= 0 else 1 if r{r} >= {cfg._den} * one "
                   f"else theta(Rat(r{r}, {cfg._den} * one))"]
         ys.append(f"y{r}")
-    lines += ["    g = gcd(one, *nums.values())",
+    # lowest terms as step takes them, dividing in place: a comprehension
+    # would compile to a code object of its own, 0.5 KB in every kernel
+    lines += ["    g = (gcd if one < LONG else common_factor)(one, *nums.values())",
               "    if g > 1:",
               "        one //= g",
-              "        nums = {i: v // g for i, v in nums.items()}",
+              "        for i in nums:",
+              "            nums[i] //= g",
               f"    return state(s.t + 1, {cfg.k}, one, nums), ({ys[0]}, {ys[1]})"]
     scope = {}
     exec(compile("\n".join(lines), "<step kernel>", "exec"), _KERNEL_GLOBALS, scope)
@@ -402,38 +417,42 @@ def step(cfg, state, x):
     none.  At 64 bits or fewer every contribution goes into one sum,
     which costs fewer dict operations.
 
-    Each config counts its short steps.  After _HOT_STEPS of them a
-    config of two input lines is hot: a short step looks up the kernel
-    of (the state's live cells, x) and returns what the kernel returns,
-    the same state and output pair as the loop.  A pattern without a
-    kernel takes the loop, and a hot config counts its steps: on the
-    _SIGHTINGS-th the kernel is built (see _kernel), unless the config
-    keeps _MAX_KERNELS already or x is not a tuple of ints.  A cold
-    config counts no pattern, so that a one-shot command pays one
-    counter a step and builds nothing.
+    Each config counts its steps.  After _HOT_STEPS of them a config
+    is hot if it has two input lines or the step is long: a step of
+    either size looks up the kernel of (the state's live cells, x) and
+    returns what the kernel returns, the same state and output pair as
+    the loop.  A pattern without a kernel takes the loop, and a hot
+    config counts its steps: on the _SIGHTINGS-th the kernel is built
+    (see _kernel) and the count dropped, unless the config keeps
+    _MAX_KERNELS already or x is not a tuple of ints.  A cold config
+    counts no pattern, so that a one-shot command pays one counter a
+    step and builds nothing.  The long branch inserts cells in the
+    order of the short one, so a live set has one key whichever branch
+    made the state.
     """
     if len(x) != cfg.n_in:
         raise ValueError(f"expected {cfg.n_in} input lines, got {len(x)}")
     den = state.den
     one = cfg._den * den
-    if one < _LONG:
-        kernels = cfg._kernels
-        if kernels is None:
-            if cfg._cold_steps < _HOT_STEPS:
-                cfg._cold_steps += 1
-            elif cfg.n_in == 2:
-                kernels = cfg._kernels = {}
-                cfg._sightings = {}
-        if kernels is not None and type(x) is tuple:
-            key = (tuple(state.nums), x)
-            kern = kernels.get(key)
-            if kern is None:
-                seen = cfg._sightings
-                n = seen[key] = seen.get(key, 0) + 1
-                if n == _SIGHTINGS and len(kernels) < _MAX_KERNELS:
-                    kern = _kernel(cfg, state, x)
-            if kern:
-                return kern(state)
+    kernels = cfg._kernels
+    if kernels is None:
+        if cfg._cold_steps < _HOT_STEPS:
+            cfg._cold_steps += 1
+        elif cfg.n_in == 2 or one >= _LONG:
+            kernels = cfg._kernels = {}
+            cfg._sightings = {}
+    if kernels is not None and type(x) is tuple:
+        key = (tuple(state.nums), x)
+        kern = kernels.get(key)
+        if kern is None:
+            seen = cfg._sightings
+            n = seen[key] = seen.get(key, 0) + 1
+            if n == _SIGHTINGS and len(kernels) < _MAX_KERNELS:
+                kern = _kernel(cfg, state, x)
+                if kern:
+                    del seen[key]
+        if kern:
+            return kern(state)
     res = cfg._res_by_col
     bias = cfg._bias_map
     acc = dict.fromkeys(cfg._pos_bias, 0)
@@ -473,24 +492,22 @@ def step(cfg, state, x):
                     acc[i] = get(i, 0) + w
             else:
                 for i, w in col:
+                    acc[i] = get(i, 0)
                     part[i] = pget(i, 0) + w * m
         for i, v in acc.items():
             v += bias.get(i, 0)
-            p = part.pop(i, None)
+            p = pget(i)
             if p is not None:
                 v = v * den + p
                 if v > 0:
                     nums[i] = v if v < one else one
             elif v > 0:
                 nums[i] = v * den if v < cfg._den else one
-        for i, v in part.items():
-            v += bias.get(i, 0) * den
-            if v > 0:
-                nums[i] = v if v < one else one
         g = common_factor(one, *nums.values())
     if g > 1:
         one //= g
-        nums = {i: v // g for i, v in nums.items()}
+        for i in nums:
+            nums[i] //= g
     nxt = NetworkState._sparse(state.t + 1, cfg.k, one, nums)
     return nxt, cfg.readout(nxt)
 

@@ -6,6 +6,7 @@ the emitted bytes, and that corruption surfaces as a witnessed
 mismatch rather than a crash.
 """
 
+import copy
 import json
 import os
 import subprocess
@@ -334,6 +335,21 @@ def test_verify_refuses_tma_rules_that_are_not_rows(tmp_path, capsys):
         assert_one_error(capsys, "'trans' must be a list of rows of 7 entries")
 
 
+def test_verify_refuses_a_type_that_is_not_a_string(
+        tmp_path, parity_files, capsys):
+    mp, np = parity_files
+    net = json.loads(Path(np).read_text())
+    cp = write_corpus(tmp_path / "c.txt", ["", "1"])
+    for kind in ([], [[]], {}):
+        bad = write_json(tmp_path / "bad.tm",
+                         {**parity_tm().to_json(), "type": kind})
+        assert main(["verify", bad, np, "--corpus", cp]) == 2
+        assert_one_error(capsys, f'{bad}: "type" is not a string')
+        bad = write_json(tmp_path / "bad.rnn", {**net, "type": kind})
+        assert main(["verify", mp, bad, "--corpus", cp]) == 2
+        assert_one_error(capsys, f'{bad}: "type" is not a string')
+
+
 def test_compile_refuses_stack_machine_rows_that_are_not_rows(tmp_path, capsys):
     out = tmp_path / "x.rnn"
     for rows in NOT_ROWS:
@@ -619,3 +635,72 @@ def test_records_are_line_json_with_sorted_keys(tmp_path, parity_files):
         assert list(obj) == sorted(obj)
         assert json.dumps(obj, sort_keys=True,
                           separators=(",", ":")) == line
+
+
+# ----------------------------------------------------- one-field mutations
+
+MUTANTS = (None, "", [], [[]], {}, 1.5, True)
+
+
+def fields(d, path=()):
+    """The path of every field of d and of the objects inside it; one
+    entry of a compiled network's layout stands for all of them."""
+    for key, v in d.items():
+        yield path + (key,)
+        if key == "layout":
+            yield path + (key, next(iter(v)))
+        elif isinstance(v, dict):
+            yield from fields(v, path + (key,))
+
+
+def mutated(d, path, value):
+    d = copy.deepcopy(d)
+    inner = d
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return d
+
+
+def test_one_field_mutations_of_the_readme_files(tmp_path, capsys):
+    # each field of the README demo files, set to each of MUTANTS, goes
+    # through the commands that read the file: none may crash, and a
+    # mutated type or rule list is refused with one error line
+    tm = parity_tm().to_json()
+    mp = write_json(tmp_path / "parity.tm", tm)
+    np = str(tmp_path / "parity.rnn")
+    assert main(["compile", mp, "--out", np]) == 0
+    files = {
+        "parity.tm": tm,
+        "parity.rnn": json.loads(Path(np).read_text()),
+        "maj3.snn": majority3_snn(two_thirds_stream()).to_json(),
+        "coin.ptma": {"type": "coin-match"},
+    }
+    sp = write_json(tmp_path / "maj3.snn", files["maj3.snn"])
+    pp = write_json(tmp_path / "coin.ptma", files["coin.ptma"])
+    cp = write_corpus(tmp_path / "corpus.txt", ["", "0", "1", "01", "0110",
+                                                 "10101"])
+    suite = ["--trials", "20", "--seed", "7"]
+    out = str(tmp_path / "out.rnn")
+    capsys.readouterr()
+    for name, doc in files.items():
+        bad = str(tmp_path / ("bad-" + name))
+        commands = {
+            "parity.tm": [["compile", bad, "--out", out],
+                          ["verify", bad, np, "--corpus", cp]],
+            "parity.rnn": [["verify", mp, bad, "--corpus", cp]],
+            "maj3.snn": [["stochastic-suite", bad, pp] + suite],
+            "coin.ptma": [["stochastic-suite", sp, bad] + suite],
+        }[name]
+        for path in fields(doc):
+            for value in MUTANTS:
+                write_json(Path(bad), mutated(doc, path, value))
+                for argv in commands:
+                    rc = main(argv)
+                    err = capsys.readouterr().err
+                    case = f"{argv[0]} {name} {path}={value!r}"
+                    assert rc in (0, 1, 2) and "Traceback" not in err, case
+                    if path[-1] in ("type", "trans", "rows"):
+                        errors = [line for line in err.splitlines()
+                                  if line.startswith("error:")]
+                        assert rc == 2 and len(errors) == 1, case

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from exactrnn import augmented as aug
 from exactrnn import cli, network
 from exactrnn.augmented import calibrate_c
 from exactrnn.compiler import CompiledNetwork, compile_machine
@@ -22,7 +23,9 @@ from exactrnn.network import (
     Decision, NetworkState, RnnConfig, common_factor, input_at, run_word, step,
     theta)
 from exactrnn.words import as_rat
-from exactrnn.zoo import dyck_sm, majority3_snn, parity_tm, two_thirds_stream
+from exactrnn.zoo import (
+    advice_eater_tma, dyck_sm, eater_stream, majority3_snn, parity_tm,
+    stream_compare_tma, two_thirds_stream)
 
 R = as_rat
 
@@ -225,6 +228,14 @@ def compiled_parity(tmp_path):
 def test_readme_verify_and_calibration_stay_cold(tmp_path, kernels_built):
     mp, np, cp = compiled_parity(tmp_path)
     assert cli.main(["verify", mp, np, "--corpus", cp]) == 0
+    # the advice-eater pair steps long from its first few dozen steps
+    m = advice_eater_tma()
+    ep = tmp_path / "eat.enn"
+    ep.write_text(json.dumps(aug.enn_from_tma(m, eater_stream(8)).to_json()))
+    tp = tmp_path / "eat.tma"
+    tp.write_text(json.dumps(m.to_json()))
+    assert cli.main(["verify", str(tp), str(ep), "--corpus", cp,
+                     "--max-steps", "5000"]) == 0
     net = CompiledNetwork.from_json(json.loads(Path(np).read_text()))
     corpus = [w for w in README_CORPUS if len(w) <= 2]
     ceiling = max(stack_run(net.machine, w, 10 ** 5).tau for w in corpus)
@@ -266,6 +277,7 @@ def test_a_hot_config_builds_a_kernel_on_the_last_sighting(kernels_built,
     assert kernels_built == [] and cfg._kernels == {}
     outs += [step(cfg, cfg._start, (0, 1)) for _ in range(3)]
     assert len(kernels_built) == 1 and kernels_built[0]
+    assert cfg._sightings == {}          # the count goes with the build
     assert len({(tuple(s.nums.items()), s.den, y) for s, y in outs}) == 1
 
 
@@ -283,21 +295,45 @@ def stay_cold(cfg):
     return cfg
 
 
+def steps_alike(cfg, cold, xs, advance=step):
+    """Step cfg and its twin cold side by side through xs, asserting the
+    same cells in the same order, the same den and the same output pair
+    after every step; returns how many of the steps were long."""
+    stay_cold(cold)
+    a, b = cfg._start, cold._start
+    long = 0
+    for x in xs:
+        long += cfg._den * a.den >= network._LONG
+        (a, ya), (b, yb) = advance(cfg, a, x), advance(cold, b, x)
+        assert (list(a.nums.items()), a.den, ya) \
+            == (list(b.nums.items()), b.den, yb)
+    assert cfg._kernels and cold._kernels is None
+    return long
+
+
 def test_kernels_insert_cells_in_the_order_of_the_loop(hot):
     # the next kernel is looked up by the order of the live cells, so a
     # kernel that inserted them in another order would split one pattern
-    # into several
+    # into several; the long branch inserts them in the same order
     for net, cold in zip(compiled_nets(), compiled_nets()):
-        stay_cold(cold.cfg)
         for w in short_words(3) + ["0110100"]:
             s = stack_run(net.machine, w, 10 ** 5).tau
-            a = b = net.cfg._start
-            for t in range(6 * len(w) + 5 * s + 6):
-                x = input_at(w, t, 2)
-                (a, ya), (b, yb) = step(net.cfg, a, x), step(cold.cfg, b, x)
-                assert (list(a.nums.items()), a.den, ya) \
-                    == (list(b.nums.items()), b.den, yb)
-        assert net.cfg._kernels and cold.cfg._kernels is None
+            xs = [input_at(w, t, 2) for t in range(6 * len(w) + 5 * s + 6)]
+            assert steps_alike(net.cfg, cold.cfg, xs) == 0
+    # the advice-eater replay, an evolving net, steps long almost always
+    e, twin = (aug.enn_from_tma(advice_eater_tma(), eater_stream(4))
+               for _ in range(2))
+    xs = [input_at("0110", t, 3, e.evolving_bias.bit) for t in range(765)]
+    assert steps_alike(aug._lift_evolving(e.base),
+                       aug._lift_evolving(twin.base), xs) > 700
+    # a truncated analog loop at 200 bits steps long throughout
+    a, twin = (aug.ann_from_tma(stream_compare_tma(), two_thirds_stream())
+               for _ in range(2))
+    cfg, cold = (aug.truncate_config(aug._with_prefix_bias(n, 200), 200)
+                 for n in (a, twin))
+    xs = [input_at("10", t, 2) for t in range(140)]
+    assert steps_alike(cfg, cold, xs, lambda c, s, x:
+                       aug._truncated_advance((c, 200), s, x)) == 140
 
 
 def test_patterns_past_the_cap_take_the_interpreted_loop(hot, monkeypatch):
@@ -324,10 +360,26 @@ def test_inputs_other_than_int_tuples_take_the_interpreted_loop(hot):
     assert nxt.h == (R(1) / 2, R(1) / 3) and len(cfg._kernels) == 1
 
 
-def test_a_net_with_a_third_input_line_never_turns_hot(hot):
-    # majority of three coins: its live cells follow the coin line
+def test_majority_of_three_never_turns_hot(hot):
+    # majority of three coins: its live cells follow the coin line, and
+    # a net with a third input line turns hot only on a long step
     snn = majority3_snn(two_thirds_stream())
     for coins in product((0, 1), repeat=4):
         assert run_word(snn.base, "", 4, x2=coins).tau == 4
     assert snn.base._cold_steps == 0 and snn.base._kernels is None
     assert hot == []
+
+
+def test_the_evolving_lift_turns_hot_where_majority_of_three_stays_cold(
+        kernels_built):
+    snn = majority3_snn(two_thirds_stream())
+    for _ in range(network._HOT_STEPS // 64 + 2):
+        for coins in product((0, 1), repeat=4):
+            assert run_word(snn.base, "", 4, x2=coins).tau == 4
+    assert snn.base._cold_steps == network._HOT_STEPS
+    assert snn.base._kernels is None and kernels_built == []
+    e = aug.enn_from_tma(advice_eater_tma(), eater_stream(4))
+    for _ in range(network._HOT_STEPS // 765 + 2):
+        assert aug.enn_run(e, "0110", 5000).tau == 765
+    lifted = aug._lift_evolving(e.base)
+    assert lifted._kernels and kernels_built == list(lifted._kernels.values())

@@ -10,8 +10,9 @@ no arithmetic with the code under test.  Every comparison demands the
 same states, the same output pairs, the same decisions, and the same
 error type and message.  The step and truncated-loop cases run twice:
 as written, where every config stays cold and takes the interpreted
-loop, and with every config hot from its first step, where each short
-step runs a generated kernel.
+loop, and with every config hot from its first step, where each step
+of a net with two input lines, and each step of any net once one of its
+steps was long, runs a generated kernel.
 """
 
 import itertools
@@ -531,8 +532,9 @@ def test_kernels_match_reference_on_compiled_parity_and_dyck(hot):
 
 
 def test_kernels_match_reference_on_zoo_nets(hot):
-    # only the analog net turns hot; the coin and evolving-bit nets
-    # have a third input line
+    # the analog net turns hot at once, the evolving-bit net on its
+    # first long step; the coin nets have a third input line and step
+    # short, so they stay cold
     test_step_matches_reference_on_zoo_nets()
     assert hot and all(hot)
 
@@ -540,7 +542,9 @@ def test_kernels_match_reference_on_zoo_nets(hot):
 def test_kernels_hand_over_to_the_long_branch_like_reference(hot):
     test_step_matches_reference_on_the_long_evolving_stack()
     test_step_matches_reference_on_a_long_odd_denominator()
-    assert hot and all(hot)          # the odd-denominator net starts short
+    # kernels serve both sizes: the evolving net turns hot on its first
+    # long step, the odd-denominator net at once and crosses 64 bits hot
+    assert hot and all(hot)
 
 
 def test_kernels_clamp_sums_at_the_edge_of_their_bounds(hot):

@@ -228,7 +228,7 @@ def compiled_parity(tmp_path):
 def test_readme_verify_and_calibration_stay_cold(tmp_path, kernels_built):
     mp, np, cp = compiled_parity(tmp_path)
     assert cli.main(["verify", mp, np, "--corpus", cp]) == 0
-    # the advice-eater pair steps long from its first few dozen steps
+    # the advice-eater pair steps long, and one run of it stays cold too
     m = advice_eater_tma()
     ep = tmp_path / "eat.enn"
     ep.write_text(json.dumps(aug.enn_from_tma(m, eater_stream(8)).to_json()))
@@ -360,18 +360,11 @@ def test_inputs_other_than_int_tuples_take_the_interpreted_loop(hot):
     assert nxt.h == (R(1) / 2, R(1) / 3) and len(cfg._kernels) == 1
 
 
-def test_majority_of_three_never_turns_hot(hot):
-    # majority of three coins: its live cells follow the coin line, and
-    # a net with a third input line turns hot only on a long step
-    snn = majority3_snn(two_thirds_stream())
-    for coins in product((0, 1), repeat=4):
-        assert run_word(snn.base, "", 4, x2=coins).tau == 4
-    assert snn.base._cold_steps == 0 and snn.base._kernels is None
-    assert hot == []
-
-
 def test_the_evolving_lift_turns_hot_where_majority_of_three_stays_cold(
         kernels_built):
+    # a net with a third input line turns hot only on a long step: the
+    # live cells of majority of three follow its coin line, and it steps
+    # short; the eater replay steps long
     snn = majority3_snn(two_thirds_stream())
     for _ in range(network._HOT_STEPS // 64 + 2):
         for coins in product((0, 1), repeat=4):

@@ -366,8 +366,14 @@ class CompiledNetwork:
             raise ValueError("the machine of a compiled network must be of "
                              "type 'stack-machine'")
         machine = StackMachineSpec.from_json(d["machine"])
-        return cls(cfg=RnnConfig.from_json(d["cfg"]), layout=dict(d["layout"]),
-                   machine=machine, program=assemble_program(machine))
+        cfg = RnnConfig.from_json(d["cfg"])
+        names, layout = cfg.cell_names, d["layout"]
+        if (names is None or layout != {n: i for i, n in enumerate(names)}
+                or any(type(i) is not int for i in layout.values())):
+            raise ValueError("layout must map each of cfg.cell_names to "
+                             "its index")
+        return cls(cfg=cfg, layout=layout, machine=machine,
+                   program=assemble_program(machine))
 
 
 def compile_machine(sm):

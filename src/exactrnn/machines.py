@@ -379,8 +379,12 @@ class StackMachineSpec:
                    for s, op in ops.items()}
             rows.append(Row(state, None if read == "eps" else read,
                             obs, ops, nxt))
+        extra_ops = d.get("extra_ops", [])
+        if not (isinstance(extra_ops, list)
+                and all(isinstance(op, str) for op in extra_ops)):
+            raise ValueError("'extra_ops' must be a list of op names")
         return cls(stacks=d["stacks"], rows=rows, initial=d["initial"],
-                   extra_ops=d.get("extra_ops", ()))
+                   extra_ops=extra_ops)
 
 
 def _row_matches(row, status, stacks_content):

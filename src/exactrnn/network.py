@@ -12,11 +12,11 @@ arithmetic is exact; there is no floating point anywhere.  A config
 holds its weights as integers over one common denominator D, and a
 state holds only its live (nonzero) cells, as integer numerators over
 one shared denominator, so a step is integer multiply-adds plus a
-single common factor.  Once that denominator passes 64 bits (analog
-and evolving runs push advice digits into one cell, so it grows with
-every step), cells at one enter a step as whole numbers, not as long
-numerators, and lowest terms takes the power of two from the bits of
-the operands and a gcd of the odd part only.
+single common factor, in one loop at every size.  Once that
+denominator passes 64 bits (analog and evolving runs push advice digits
+into one cell, so it grows with every step), lowest terms takes the
+power of two from the bits of the operands and a gcd of the odd part
+only.
 
 A compiled network's live cells follow its finite control, not the
 word, so a long run meets the same few hundred (live cells, input)
@@ -176,6 +176,8 @@ class RnnConfig:
 
     @classmethod
     def from_json(cls, d):
+        if not isinstance(d["h0"], list):
+            raise ValueError("h0 must be a list")
         return cls(
             k=d["k"],
             n_in=d.get("n_in", 2),
@@ -251,7 +253,7 @@ class Decision:
         return self.kind == "accept"
 
 
-# Above this size step splits its sums and takes common_factor for a
+# From this size on step and the kernels take common_factor for a
 # plain gcd: the gcd of two 64-bit ints takes 1.00 us against 1.12 us
 # for the bit method, at 256 bits 2.11 against 1.11 us.
 _LONG = 1 << 64
@@ -277,7 +279,7 @@ def common_factor(one, *nums):
 # A config turns hot after this many steps (see step), and a hot
 # config builds the kernel of a pattern on the pattern's _SIGHTINGS-th
 # step.  A kernel takes 0.2-0.4 ms to build and saves 3-5 us a
-# step on compiled parity and Dyck (about 8 of 17 us on a long step of
+# step on compiled parity and Dyck (about 6 of 10 us on a long step of
 # the advice-eater replay), so it pays after some 50-130 uses;
 # building on the 16th spends a build only on a pattern that has shown
 # it comes again and again.  Built on first sight, kernels made CLI
@@ -314,11 +316,8 @@ def _kernel(cfg, state, x):
     each target cell's sum is one expression in the live numerators m0,
     m1, ... with integer literals for weights, inputs and bias folded
     together, written in the order the interpreted loop inserts the
-    cells, so that both paths give the same next state, key included.
-    Past 64 bits it multiplies a cell at one like any other, where
-    step's long branch adds its weight as a whole number; the sums are
-    the same, and so is the common factor, taken by size as step takes
-    it.
+    cells, so that both paths give the same next state, key included,
+    and brought to lowest terms by the common factor step takes.
     Every live numerator lies in (0, den], so the signs of a sum's
     coefficients bound it: a sum that cannot pass 0 is left out, one
     that cannot fall below one is one, and the tests against 0 and one
@@ -404,18 +403,11 @@ def step(cfg, state, x):
     is what makes large compiled networks cheap to run.  The input
     lines x carry integers (bits under the word protocol).  The sums
     are numerators over one = cfg._den * state.den, and one common
-    factor brings the new state back to lowest terms: math.gcd at 64
-    bits or fewer, common_factor above.
-
-    Above 64 bits of one, a product with a numerator costs time linear
-    in its length, so inputs, biases and cells at one (numerator
-    state.den) add their integer weights into a whole part, the other
-    live cells add weight times numerator into a fractional part, and
-    each target takes at most one long multiply, whole * state.den +
-    part, however many cells at one feed it; a target fed by whole
-    numbers alone that ends at or below 0 or at or above one takes
-    none.  At 64 bits or fewer every contribution goes into one sum,
-    which costs fewer dict operations.
+    factor brings the new state back to lowest terms: math.gcd below
+    2^64, common_factor from there on.  The same loop serves every
+    size: past 64 bits a product with a long numerator costs time
+    linear in its length, but a long step is still bound by the Python
+    work per edge, and a config that keeps stepping long turns hot.
 
     Each config counts its steps.  After _HOT_STEPS of them a config
     is hot if it has two input lines or the step is long: a step of
@@ -426,9 +418,7 @@ def step(cfg, state, x):
     (see _kernel) and the count dropped, unless the config keeps
     _MAX_KERNELS already or x is not a tuple of ints.  A cold config
     counts no pattern, so that a one-shot command pays one counter a
-    step and builds nothing.  The long branch inserts cells in the
-    order of the short one, so a live set has one key whichever branch
-    made the state.
+    step and builds nothing.
     """
     if len(x) != cfg.n_in:
         raise ValueError(f"expected {cfg.n_in} input lines, got {len(x)}")
@@ -458,52 +448,23 @@ def step(cfg, state, x):
     acc = dict.fromkeys(cfg._pos_bias, 0)
     get = acc.get
     nums = {}
-    if one < _LONG:
-        for c, xv in enumerate(x):
-            if xv:
-                xv *= den
-                for i, w in cfg._in_cols[c]:
-                    acc[i] = get(i, 0) + w * xv
-        for j, m in state.nums.items():
-            col = res.get(j)
-            if col:
-                for i, w in col:
-                    acc[i] = get(i, 0) + w * m
-        for i, v in acc.items():
-            b = bias.get(i)
-            if b:
-                v += b * den
-            if v > 0:
-                nums[i] = v if v < one else one
-        g = math.gcd(one, *nums.values())
-    else:
-        part = {}
-        pget = part.get
-        for c, xv in enumerate(x):
-            if xv:
-                for i, w in cfg._in_cols[c]:
-                    acc[i] = get(i, 0) + w * xv
-        for j, m in state.nums.items():
-            col = res.get(j)
-            if not col:
-                continue
-            if m == den:
-                for i, w in col:
-                    acc[i] = get(i, 0) + w
-            else:
-                for i, w in col:
-                    acc[i] = get(i, 0)
-                    part[i] = pget(i, 0) + w * m
-        for i, v in acc.items():
-            v += bias.get(i, 0)
-            p = pget(i)
-            if p is not None:
-                v = v * den + p
-                if v > 0:
-                    nums[i] = v if v < one else one
-            elif v > 0:
-                nums[i] = v * den if v < cfg._den else one
-        g = common_factor(one, *nums.values())
+    for c, xv in enumerate(x):
+        if xv:
+            xv *= den
+            for i, w in cfg._in_cols[c]:
+                acc[i] = get(i, 0) + w * xv
+    for j, m in state.nums.items():
+        col = res.get(j)
+        if col:
+            for i, w in col:
+                acc[i] = get(i, 0) + w * m
+    for i, v in acc.items():
+        b = bias.get(i)
+        if b:
+            v += b * den
+        if v > 0:
+            nums[i] = v if v < one else one
+    g = (math.gcd if one < _LONG else common_factor)(one, *nums.values())
     if g > 1:
         one //= g
         for i in nums:

@@ -640,15 +640,20 @@ def test_records_are_line_json_with_sorted_keys(tmp_path, parity_files):
 # ----------------------------------------------------- one-field mutations
 
 MUTANTS = (None, "", [], [[]], {}, 1.5, True)
+# fields of the compiled network that are read strictly: any other
+# value of one of them, or of an entry inside it, exits 2
+STRICT_RNN = (("layout",), ("machine", "extra_ops"), ("cfg", "h0"),
+              ("cfg", "cell_names"))
 
 
 def fields(d, path=()):
     """The path of every field of d and of the objects inside it; one
-    entry of a compiled network's layout stands for all of them."""
+    entry of a compiled network's layout stands for all of them, the
+    cell at index 1, which true would equal."""
     for key, v in d.items():
         yield path + (key,)
         if key == "layout":
-            yield path + (key, next(iter(v)))
+            yield path + (key, next(n for n, i in v.items() if i == 1))
         elif isinstance(v, dict):
             yield from fields(v, path + (key,))
 
@@ -665,7 +670,8 @@ def mutated(d, path, value):
 def test_one_field_mutations_of_the_readme_files(tmp_path, capsys):
     # each field of the README demo files, set to each of MUTANTS, goes
     # through the commands that read the file: none may crash, and a
-    # mutated type or rule list is refused with one error line
+    # mutated type, rule list or strict field of the compiled network is
+    # refused with one error line
     tm = parity_tm().to_json()
     mp = write_json(tmp_path / "parity.tm", tm)
     np = str(tmp_path / "parity.rnn")
@@ -693,14 +699,19 @@ def test_one_field_mutations_of_the_readme_files(tmp_path, capsys):
             "coin.ptma": [["stochastic-suite", sp, bad] + suite],
         }[name]
         for path in fields(doc):
+            strict = path[-1] in ("type", "trans", "rows") or (
+                name == "parity.rnn"
+                and any(path[:len(p)] == p for p in STRICT_RNN))
             for value in MUTANTS:
-                write_json(Path(bad), mutated(doc, path, value))
+                text = json.dumps(mutated(doc, path, value))
+                Path(bad).write_text(text)
                 for argv in commands:
                     rc = main(argv)
                     err = capsys.readouterr().err
                     case = f"{argv[0]} {name} {path}={value!r}"
                     assert rc in (0, 1, 2) and "Traceback" not in err, case
-                    if path[-1] in ("type", "trans", "rows"):
+                    # compiled parity's extra_ops is [] already
+                    if strict and text != json.dumps(doc):
                         errors = [line for line in err.splitlines()
                                   if line.startswith("error:")]
                         assert rc == 2 and len(errors) == 1, case

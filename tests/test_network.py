@@ -314,7 +314,7 @@ def steps_alike(cfg, cold, xs, advance=step):
 def test_kernels_insert_cells_in_the_order_of_the_loop(hot):
     # the next kernel is looked up by the order of the live cells, so a
     # kernel that inserted them in another order would split one pattern
-    # into several; the long branch inserts them in the same order
+    # into several; the loop inserts them in one order at every size
     for net, cold in zip(compiled_nets(), compiled_nets()):
         for w in short_words(3) + ["0110100"]:
             s = stack_run(net.machine, w, 10 ** 5).tau

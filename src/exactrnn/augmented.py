@@ -5,8 +5,8 @@ finite realization here:
 
   * analog: one cell's bias is a real number, presented as an infinite
     digit stream; runs use interval arithmetic over lazily materialized
-    digit prefixes (both interval ends of every live cell as integer
-    numerators over one shared denominator) and retry with more digits
+    digit prefixes, as exact runs of a net with two cells per cell (the
+    lower and the upper end of its interval), and retry with more digits
     when a threshold comparison is not yet pinned down;
   * evolving: one cell's bias is a bit that changes every step;
     runs are exact since bits are exact;
@@ -183,96 +183,58 @@ def _pin(lo, hi, one):
     raise _Unresolved
 
 
-def _clamp(v, one):
-    return 0 if v <= 0 else v if v < one else one
-
-
 def _bias_interval(prefix):
     """[enc + 4^-B/3, enc + 4^-B] for a B-digit prefix with encoding enc,
-    as (lower numerator, upper numerator, denominator 3 * 4^B).  The
-    encoding of every stream that starts with the prefix lies inside."""
-    scale = 4 ** len(prefix)
+    as its two ends.  The encoding of every stream that starts with the
+    prefix lies inside."""
+    scale = Rat(1, 4 ** len(prefix))
     enc = delta4(prefix)
-    m = 3 * int(enc.numerator) * (scale // int(enc.denominator))
-    return m + 1, m + 3, 3 * scale
+    return enc + scale / 3, enc + scale
 
 
-def _interval_step(cfg, den, lo, hi, x, bias_cell, bias):
-    """Interval image of one step.
+def _interval_net(cfg, bias_cell, lo, hi):
+    """The net whose exact run is the interval run of cfg with the bias
+    interval [lo, hi] entering bias_cell, built once per interval and
+    kept on cfg.
 
-    lo and hi map each live cell to the numerators of its lower and
-    upper end over den; returns (den, lo, hi) of the next state, in
-    lowest terms.  A weight reads the lower or the upper end by its
-    sign.  The bias interval (bias[0], bias[1]) / bias[2] enters
-    bias_cell; its denominator joins the shared one only when that cell
-    stays live.
+    Cell i holds the lower end of cell i's interval and cell k + i the
+    upper end: a positive weight reads the same end, a negative weight
+    the other, and inputs and rational biases enter both ends alike.
+    Cells 2k and 2k + 1 hold themselves and carry the bias ends into
+    bias_cell and k + bias_cell.  The net has no readout of its own;
+    _interval_readout pins cfg's outputs from both ends.
     """
-    acc_lo = dict.fromkeys(cfg._pos_bias, 0)
-    acc_hi = dict(acc_lo)
-    get_lo, get_hi = acc_lo.get, acc_hi.get
-    for c, xv in enumerate(x):
-        if xv:
-            xv *= den
-            for i, w in cfg._in_cols[c]:
-                v = w * xv
-                acc_lo[i] = get_lo(i, 0) + v
-                acc_hi[i] = get_hi(i, 0) + v
-    res = cfg._res_by_col
-    for j, mh in hi.items():
-        col = res.get(j)
-        if not col:
-            continue
-        ml = lo[j]
-        for i, w in col:
+    k = cfg.k
+
+    def build():
+        w_in = {}
+        for (i, c), w in cfg.w_in.items():
+            w_in[(i, c)] = w_in[(k + i, c)] = w
+        w_res = {(2 * k, 2 * k): 1, (2 * k + 1, 2 * k + 1): 1,
+                 (bias_cell, 2 * k): 1, (k + bias_cell, 2 * k + 1): 1}
+        for (i, j), w in cfg.w_res.items():
             if w > 0:
-                acc_lo[i] = get_lo(i, 0) + w * ml
-                acc_hi[i] = get_hi(i, 0) + w * mh
+                w_res[(i, j)] = w_res[(k + i, k + j)] = w
             else:
-                acc_lo[i] = get_lo(i, 0) + w * mh
-                acc_hi[i] = get_hi(i, 0) + w * ml
-    one = cfg._den * den
-    bias_map = cfg._bias_map
-    cl, ch = acc_lo.pop(bias_cell, 0), acc_hi.pop(bias_cell, 0)
-    new_lo, new_hi = {}, {}
-    for i, vh in acc_hi.items():
-        vl = acc_lo[i]
-        b = bias_map.get(i)
-        if b:
-            b *= den
-            vl += b
-            vh += b
-        if vh > 0:
-            new_lo[i] = _clamp(vl, one)
-            new_hi[i] = _clamp(vh, one)
-    bl, bh, bden = bias
-    b = bias_map.get(bias_cell, 0) * den
-    ch = (ch + b) * bden + bh * one
-    if ch > 0:
-        cl = (cl + b) * bden + bl * one
-        one *= bden
-        new_lo = {i: v * bden for i, v in new_lo.items()}
-        new_hi = {i: v * bden for i, v in new_hi.items()}
-        new_lo[bias_cell] = _clamp(cl, one)
-        new_hi[bias_cell] = _clamp(ch, one)
-    g = math.gcd(one, *new_hi.values(), *new_lo.values())
-    if g > 1:
-        one //= g
-        new_lo = {i: v // g for i, v in new_lo.items()}
-        new_hi = {i: v // g for i, v in new_hi.items()}
-    return one, new_lo, new_hi
+                w_res[(i, k + j)] = w_res[(k + i, j)] = w
+        return RnnConfig(k=2 * k + 2, w_in=w_in, w_res=w_res,
+                         h0=cfg.h0 + cfg.h0 + (lo, hi), n_in=cfg.n_in)
+
+    return _derive(cfg, ("interval", bias_cell, lo, hi), build)
 
 
-def _interval_readout(cfg, den, lo, hi):
-    """Output pair of an interval state; raises _Unresolved while an
-    output interval straddles 0 or 1."""
+def _interval_readout(cfg, state):
+    """Output pair of cfg from a state of its interval net; raises
+    _Unresolved while an output interval straddles 0 or 1."""
+    nums, k = state.nums, cfg.k
     sums = []
     for row in cfg._out_rows:
         sl = sh = 0
         for j, w in row:
-            mh = hi.get(j)
+            mh = nums.get(k + j)
             if mh is None:
                 continue
-            ml = lo[j]
+            ml = nums.get(j, 0)
             if w > 0:
                 sl += w * ml
                 sh += w * mh
@@ -280,23 +242,17 @@ def _interval_readout(cfg, den, lo, hi):
                 sl += w * mh
                 sh += w * ml
         sums.append((sl, sh))
-    one = cfg._den * den
+    one = cfg._den * state.den
     y1 = _pin(*sums[1], one)
     return _pin(*sums[0], one), y1
 
 
 def _interval_advance(ctx, state, x):
-    """drive's one-step semantics for interval states."""
-    cfg, bias_cell, bias = ctx
-    state = _interval_step(cfg, *state, x, bias_cell, bias)
-    return state, _interval_readout(cfg, *state)
-
-
-def _interval_run(cfg, bias_cell, bias, w, max_steps):
-    """Protocol run over the interval state (den, lo, hi) from h0."""
-    start = cfg._start
-    return drive(_interval_advance, (cfg, bias_cell, bias),
-                 (start.den, start.nums, start.nums), w, max_steps, cfg.n_in)
+    """drive's one-step semantics for interval runs: an exact step of
+    the interval net, read out from both ends."""
+    net, cfg = ctx
+    state = step(net, state, x)[0]
+    return state, _interval_readout(cfg, state)
 
 
 def ann_run(a, w, max_steps, start_bits=None, max_bits=1 << 16):
@@ -310,18 +266,21 @@ def ann_run(a, w, max_steps, start_bits=None, max_bits=1 << 16):
     raises UndefinedThreshold; hitting max_bits raises
     PrecisionExhausted.
 
-    The state is two maps of live cells, the lower and the upper
-    numerators, over one shared integer denominator that a single gcd
-    per step keeps in lowest terms; thresholds are integer comparisons.
+    Each attempt is an exact run of the interval net (_interval_net),
+    which holds both ends of every cell's interval, so it takes
+    network.step and its kernels; the outputs are pinned from both ends
+    by integer comparisons.
     """
     check_protocol(w, max_steps)
     bits = start_bits if start_bits is not None else 16
     if bits < 1:
         raise ValueError("start_bits must be at least 1")
     while bits <= max_bits:
-        bias = _bias_interval(a.bias_stream.prefix(bits))
+        lo, hi = _bias_interval(a.bias_stream.prefix(bits))
+        net = _interval_net(a.base, a.bias_cell, lo, hi)
         try:
-            return _interval_run(a.base, a.bias_cell, bias, w, max_steps)
+            return drive(_interval_advance, (net, a.base), net._start, w,
+                         max_steps, net.n_in)
         except _Unresolved:
             bits *= 2
     raise PrecisionExhausted(f"still unresolved at {max_bits} bias digits")

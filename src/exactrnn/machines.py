@@ -323,7 +323,7 @@ class StackMachineSpec:
 
     Determinism is enforced structurally: within a state no two rows
     may match the same (input status, stack observations) combination.
-    extra_ops widens the op vocabulary for internal constructions that
+    The initial state halts or has a row.  extra_ops widens the op vocabulary for internal constructions that
     compile rows directly into network circuitry.
     """
 
@@ -347,6 +347,8 @@ class StackMachineSpec:
                 if name not in BASE_OPS and name not in self.extra_ops:
                     raise ValueError(f"unknown op {op!r} in row {row!r}")
             self.rows_by_state.setdefault(row.state, []).append(row)
+        if initial not in TERMINALS and initial not in self.rows_by_state:
+            raise ValueError(f"initial state {initial!r} has no row")
         for state, rows_here in self.rows_by_state.items():
             for i, r1 in enumerate(rows_here):
                 for r2 in rows_here[i + 1:]:

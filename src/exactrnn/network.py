@@ -39,7 +39,8 @@ validation x_1 = 1, input then goes silent (0,0).  The network answers
 with a single spike y_1 = 1 whose companion bit y_0 carries
 accept/reject; output must be (0,0) strictly before that.  ``drive``
 runs that protocol over any one-step semantics: the exact ``step`` of
-``run_word`` and the truncated and interval steps of ``augmented``.
+``run_word``, and the truncated step and the interval readout that
+``augmented`` puts around ``step``.
 """
 
 import math
@@ -135,8 +136,8 @@ class RnnConfig:
                                for row in (0, 1))
         self._start = NetworkState(0, self.h0)
         # configs derived from this one (truncations, lifts, installed
-        # biases), built once on first use; the config is immutable, so
-        # they never go stale
+        # biases, interval nets), built once on first use; the config is
+        # immutable, so they never go stale
         self._derived = {}
         # steps taken cold, and once there were _HOT_STEPS of them the
         # step kernels built so far and the steps taken per pattern

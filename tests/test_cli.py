@@ -642,8 +642,8 @@ def test_records_are_line_json_with_sorted_keys(tmp_path, parity_files):
 MUTANTS = (None, "", [], [[]], {}, 1.5, True)
 # fields of the compiled network that are read strictly: any other
 # value of one of them, or of an entry inside it, exits 2
-STRICT_RNN = (("layout",), ("machine", "extra_ops"), ("cfg", "h0"),
-              ("cfg", "cell_names"))
+STRICT_RNN = (("layout",), ("machine", "extra_ops"), ("machine", "initial"),
+              ("cfg", "h0"), ("cfg", "cell_names"))
 
 
 def fields(d, path=()):

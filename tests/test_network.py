@@ -228,14 +228,17 @@ def compiled_parity(tmp_path):
 def test_readme_verify_and_calibration_stay_cold(tmp_path, kernels_built):
     mp, np, cp = compiled_parity(tmp_path)
     assert cli.main(["verify", mp, np, "--corpus", cp]) == 0
-    # the advice-eater pair steps long, and one run of it stays cold too
+    # the advice-eater pairs step long, and one run of each stays cold
+    # too: the analog one on its interval net
     m = advice_eater_tma()
-    ep = tmp_path / "eat.enn"
-    ep.write_text(json.dumps(aug.enn_from_tma(m, eater_stream(8)).to_json()))
     tp = tmp_path / "eat.tma"
     tp.write_text(json.dumps(m.to_json()))
-    assert cli.main(["verify", str(tp), str(ep), "--corpus", cp,
-                     "--max-steps", "5000"]) == 0
+    for name, build in (("eat.enn", aug.enn_from_tma),
+                        ("eat.ann", aug.ann_from_tma)):
+        ep = tmp_path / name
+        ep.write_text(json.dumps(build(m, eater_stream(8)).to_json()))
+        assert cli.main(["verify", str(tp), str(ep), "--corpus", cp,
+                         "--max-steps", "5000"]) == 0
     net = CompiledNetwork.from_json(json.loads(Path(np).read_text()))
     corpus = [w for w in README_CORPUS if len(w) <= 2]
     ceiling = max(stack_run(net.machine, w, 10 ** 5).tau for w in corpus)

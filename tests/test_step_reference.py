@@ -422,22 +422,24 @@ def test_state_keeps_live_cells_over_one_denominator():
 
 
 def assert_interval_steps_agree(a, w, steps, bits):
-    """Step the integer and the Fraction interval runners side by side at
-    one bias precision, comparing every interval end; the integer state
-    must stay in lowest terms."""
-    cfg, cell = a.base, a.bias_cell
+    """Step the interval net and the Fraction interval runner side by
+    side at one bias precision, comparing every interval end; the bias
+    ends must stay put and the net's state in lowest terms."""
+    cfg, cell, k = a.base, a.bias_cell, a.base.k
     prefix = a.bias_stream.prefix(bits)
-    bias, iv = aug._bias_interval(prefix), fraction_bias_iv(prefix)
-    assert (Rat(bias[0], bias[2]), Rat(bias[1], bias[2])) == iv
-    den, lo, hi = cfg._start.den, cfg._start.nums, cfg._start.nums
+    iv = fraction_bias_iv(prefix)
+    assert aug._bias_interval(prefix) == iv
+    net = aug._interval_net(cfg, cell, *iv)
+    state = net._start
     h = {i: (v, v) for i, v in enumerate(cfg.h0) if v}
     for t in range(steps):
         x = input_at(w, t, cfg.n_in)
-        den, lo, hi = aug._interval_step(cfg, den, lo, hi, x, cell, bias)
+        state, _y = step(net, state, x)
         h = fraction_interval_step(cfg, h, x, cell, iv)
-        assert lo.keys() == hi.keys()
-        assert {i: (Rat(lo[i], den), Rat(hi[i], den)) for i in hi} == h
-        assert math.gcd(den, *lo.values(), *hi.values()) == 1
+        ends = state.h
+        assert {i: (ends[i], ends[k + i]) for i in range(k) if ends[k + i]} == h
+        assert ends[2 * k:] == iv
+        assert math.gcd(state.den, *state.nums.values()) == 1
 
 
 def ann_decisions_agree(a, w, steps, **bits):
@@ -571,6 +573,14 @@ def test_kernels_run_the_truncated_loops_like_reference(hot):
     test_truncated_runs_match_reference_on_analog_and_evolving_nets()
     test_truncated_loop_raises_like_reference_where_calibration_fails()
     test_truncated_state_not_the_uncut_one_drives_the_output()
+    assert hot and all(hot)
+
+
+def test_kernels_run_interval_runs_like_reference(hot):
+    # every attempt of ann_run steps its interval net, so a hot net
+    # takes each step through a kernel
+    test_ann_run_matches_reference_on_the_stream_compare_net()
+    test_ann_run_matches_reference_when_doubling_and_exhausting()
     assert hot and all(hot)
 
 

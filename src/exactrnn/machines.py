@@ -323,8 +323,9 @@ class StackMachineSpec:
 
     Determinism is enforced structurally: within a state no two rows
     may match the same (input status, stack observations) combination.
-    The initial state halts or has a row.  extra_ops widens the op vocabulary for internal constructions that
-    compile rows directly into network circuitry.
+    The initial state halts or has a row.  extra_ops widens the op
+    vocabulary for internal constructions that compile rows directly
+    into network circuitry.
     """
 
     def __init__(self, stacks, rows, initial, extra_ops=()):

@@ -8,11 +8,11 @@ same way, from ``truncate_config`` and ``trunc_frac`` on every cell.
 Both read only the public rational weight dictionaries, so they share
 no arithmetic with the code under test.  Every comparison demands the
 same states, the same output pairs, the same decisions, and the same
-error type and message.  The step and truncated-loop cases run twice:
-as written, where every config stays cold and takes the interpreted
-loop, and with every config hot from its first step, where each step
-of a net with two input lines, and each step of any net once one of its
-steps was long, runs a generated kernel.
+error type and message.  The step, truncated-loop and interval-run
+cases run twice: as written, where every config stays cold and takes
+the interpreted loop, and with every config hot from its first step,
+where each step of a net with two input lines, and each step of any net
+once one of its steps was long, runs a generated kernel.
 """
 
 import itertools
@@ -26,7 +26,7 @@ from exactrnn.compiler import compile_machine
 from exactrnn.errors import PrecisionExhausted, ProtocolViolation, UndefinedThreshold
 from exactrnn.machines import stack_run, tm_to_stack
 from exactrnn.network import Decision, NetworkState, RnnConfig, input_at, step, theta
-from exactrnn.words import BitStream, ZERO, Rat, as_rat, delta4, sigma, trunc_frac
+from exactrnn.words import BitStream, ZERO, as_rat, delta4, sigma, trunc_frac
 from exactrnn.zoo import (
     advice_eater_tma, dyck_sm, eater_stream, first_coin_snn, majority3_snn,
     parity_tm, stream_compare_tma, three_quarters_stream, two_thirds_stream,

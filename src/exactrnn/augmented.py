@@ -115,7 +115,6 @@ class EnnSpec:
 
     base: RnnConfig
     evolving_bias: BitStream
-    restart_cells: tuple = ()
 
     def to_json(self):
         return {"type": "enn", "base": self.base.to_json(),
@@ -316,8 +315,12 @@ def enn_run(e, w, max_steps, want_trace=False):
 
 
 def count_restarts(e, trace):
-    """Number of replay rounds in a traced evolving run."""
-    cells = e.restart_cells
+    """Number of replay rounds in a traced evolving run: the steps at
+    which a capture guard, a case/* cell wired into the CP stack's load
+    candidate, is at one.  A net without that candidate counts 0."""
+    names = e.base.cell_names or ("",) * e.base.k
+    cells = [j for i, j in e.base.w_res if names[i] == "stack/CP/cand_load"
+             and names[j].startswith("case/")]
     return sum(1 for _t, h, _y in trace for c in cells if h[c] == 1)
 
 
@@ -378,13 +381,7 @@ def truncate_run(spec, policy, w, steps):
         lifted = _lift_evolving(spec.base)
         return _truncated_loop(lifted, w, steps, q,
                                x2=spec.evolving_bias.bit)
-    return _truncated_loop(_cfg_of(spec), w, steps, q)
-
-
-def _cfg_of(spec):
-    if isinstance(spec, RnnConfig):
-        return spec
-    return spec.cfg
+    return _truncated_loop(spec, w, steps, q)
 
 
 def _with_prefix_bias(a, q):
@@ -413,7 +410,7 @@ def exact_run(spec, w, steps):
         return ann_run(spec, w, steps)
     if isinstance(spec, EnnSpec):
         return enn_run(spec, w, steps)
-    return run_word(_cfg_of(spec), w, steps)
+    return run_word(spec, w, steps)
 
 
 def calibrate_c(spec, corpus, f, c_max=64):
@@ -421,8 +418,9 @@ def calibrate_c(spec, corpus, f, c_max=64):
     every corpus word, with the word that forced the last increment.
 
     f(n) is the step budget at length n; the exact run must decide
-    within it for the comparison to mean anything.  Works for plain,
-    compiled, analog, and evolving networks alike.
+    within it for the comparison to mean anything.  Works for plain
+    (a compiled network as its cfg), analog, and evolving networks
+    alike.
     """
     exact = {}
     for w in corpus:
@@ -474,8 +472,8 @@ def enn_from_tma(m, e):
     The evolving bit of step t lands in cell 0; an accumulator cell
     pushes every arriving bit onto a growing encoded word (newest digit
     on top), and the replay program's capture op copies that word into
-    the CP stack in a single step.  restart_cells in the result mark
-    the capture guards, so a traced run counts replay rounds directly.
+    the CP stack in a single step; count_restarts finds the capture
+    guards by their wiring into that step's candidate cell.
     """
     program = assemble_program(tma_to_stack_replay(m),
                                allowed_extra=("load_from",))
@@ -497,12 +495,8 @@ def enn_from_tma(m, e):
             cells["cand_load"] = cand
         bb.wire(cells["cand_load"], g, weight)
 
-    guards = wire_program(b, ctx, program,
-                          op_table={"load_from": (wire_load, 1)})
-    restarts = tuple(guards[i] for i, row in enumerate(program.rows)
-                     if any(op[0] == "load_from" for op in row.ops.values()
-                            if isinstance(op, tuple)))
-    return EnnSpec(base=b.finalize(), evolving_bias=e, restart_cells=restarts)
+    wire_program(b, ctx, program, op_table={"load_from": (wire_load, 1)})
+    return EnnSpec(base=b.finalize(), evolving_bias=e)
 
 
 # ==========================================================================

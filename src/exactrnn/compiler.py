@@ -324,9 +324,12 @@ def assemble_program(sm, allowed_extra=()):
 @dataclass
 class CompiledNetwork:
     cfg: RnnConfig
-    layout: dict
     machine: StackMachineSpec          # original, pre-rewrite machine
     program: StackMachineSpec          # assembled form actually wired
+
+    @property
+    def layout(self):
+        return {name: i for i, name in enumerate(self.cfg.cell_names)}
 
     def time_bound(self, n, machine_steps):
         return C_RAMP + C_STEP * (max(machine_steps, 1) + n)
@@ -366,14 +369,13 @@ class CompiledNetwork:
             raise ValueError("the machine of a compiled network must be of "
                              "type 'stack-machine'")
         machine = StackMachineSpec.from_json(d["machine"])
-        cfg = RnnConfig.from_json(d["cfg"])
-        names, layout = cfg.cell_names, d["layout"]
-        if (names is None or layout != {n: i for i, n in enumerate(names)}
-                or any(type(i) is not int for i in layout.values())):
+        net = cls(cfg=RnnConfig.from_json(d["cfg"]), machine=machine,
+                  program=assemble_program(machine))
+        if (net.cfg.cell_names is None or d["layout"] != net.layout
+                or any(type(i) is not int for i in d["layout"].values())):
             raise ValueError("layout must map each of cfg.cell_names to "
                              "its index")
-        return cls(cfg=cfg, layout=layout, machine=machine,
-                   program=assemble_program(machine))
+        return net
 
 
 def compile_machine(sm):
@@ -387,9 +389,7 @@ def compile_machine(sm):
     program = assemble_program(sm)
     b = NetBuilder(n_in=2)
     wire_program(b, add_boot_and_clock(b), program)
-    layout = {name: i for i, name in enumerate(b.names)}
-    return CompiledNetwork(cfg=b.finalize(), layout=layout, machine=sm,
-                           program=program)
+    return CompiledNetwork(cfg=b.finalize(), machine=sm, program=program)
 
 
 # --------------------------------------------------------------------------

@@ -44,16 +44,21 @@ def _check_states(*names):
             raise ValueError(f"state name {q!r} is not a string")
 
 
+def _check_initial(initial, states):
+    """The initial state is a string and halts or is one of states, the
+    states that have a rule: a run from any other would stick at once."""
+    _check_states(initial)
+    if initial not in TERMINALS and initial not in states:
+        raise ValueError(f"initial state {initial!r} has no rule")
+
+
 def _rows(d, key, width):
     """d[key] as read from a spec file: a list of rows, each a list of
-    width entries, and at least one unless the initial state halts."""
+    width entries."""
     rows = d[key]
     if not (isinstance(rows, list)
             and all(isinstance(r, list) and len(r) == width for r in rows)):
         raise ValueError(f"{key!r} must be a list of rows of {width} entries")
-    if not rows and d["initial"] not in TERMINALS:
-        raise ValueError(f"{key!r} holds no rule, so initial state "
-                         f"{d['initial']!r} is stuck")
     return rows
 
 
@@ -82,7 +87,7 @@ class TmSpec:
     def __init__(self, trans, initial):
         for key, rule in trans.items():
             _check_tm_rule(key, rule)
-        _check_states(initial)
+        _check_initial(initial, {q for q, _a in trans})
         self.trans = dict(trans)
         self.initial = initial
 
@@ -109,7 +114,7 @@ class TmaSpec:
     def __init__(self, trans, initial):
         for key, rule in trans.items():
             _check_tm_rule(key, rule, adv=True)
-        _check_states(initial)
+        _check_initial(initial, {q for q, _a, _s in trans})
         self.trans = dict(trans)
         self.initial = initial
 
@@ -136,7 +141,7 @@ class PtmSpec:
         for t in (trans0, trans1):
             for key, rule in t.items():
                 _check_tm_rule(key, rule)
-        _check_states(initial)
+        _check_initial(initial, {q for q, _a in [*trans0, *trans1]})
         self.trans0 = dict(trans0)
         self.trans1 = dict(trans1)
         self.initial = initial
@@ -333,7 +338,6 @@ class StackMachineSpec:
         if len(set(self.stacks)) != len(self.stacks):
             raise ValueError("duplicate stack names")
         self.extra_ops = frozenset(extra_ops)
-        _check_states(initial)
         self.initial = initial
         self.rows = list(rows)
         self.rows_by_state = {}
@@ -348,8 +352,7 @@ class StackMachineSpec:
                 if name not in BASE_OPS and name not in self.extra_ops:
                     raise ValueError(f"unknown op {op!r} in row {row!r}")
             self.rows_by_state.setdefault(row.state, []).append(row)
-        if initial not in TERMINALS and initial not in self.rows_by_state:
-            raise ValueError(f"initial state {initial!r} has no row")
+        _check_initial(initial, self.rows_by_state)
         for state, rows_here in self.rows_by_state.items():
             for i, r1 in enumerate(rows_here):
                 for r2 in rows_here[i + 1:]:

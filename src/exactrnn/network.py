@@ -65,16 +65,10 @@ def theta(v):
     raise UndefinedThreshold(f"readout value {v} lies strictly inside (0,1)")
 
 
-def _as_weight_dict(entries, what, k, ncols=None, nrows=None):
-    """Normalize {(i,j): w} / [(i,j,w)] to a dict with validated indices."""
+def _as_weight_dict(entries, what, rows, cols):
+    """{(i, j): w} with indices in range; zero weights dropped."""
     out = {}
-    if hasattr(entries, "items"):
-        items = [(key, val) for key, val in entries.items()]
-    else:
-        items = [((i, j), w) for (i, j, w) in entries]
-    for (i, j), w in items:
-        rows = nrows if nrows is not None else k
-        cols = ncols if ncols is not None else k
+    for (i, j), w in entries.items():
         if not (0 <= i < rows and 0 <= j < cols):
             raise ValueError(f"{what}[{i},{j}] out of range")
         w = as_rat(w)
@@ -86,10 +80,10 @@ def _as_weight_dict(entries, what, k, ncols=None, nrows=None):
 class RnnConfig:
     """Immutable network description plus cached sparse access paths.
 
-    Weights are given sparsely as {(row, col): weight} mappings (or
-    (row, col, weight) triples); anything absent is zero.  W_in columns
-    are the data line, the validation line, then the bias constant;
-    a stochastic third line is enabled with n_in=3.
+    Weights are given sparsely as {(row, col): weight} mappings;
+    anything absent is zero.  W_in columns are the data line, the
+    validation line, then the bias constant; a stochastic third line is
+    enabled with n_in=3.
     """
 
     def __init__(self, k, w_in, w_res, w_out=None, h0=None, n_in=2, cell_names=None):
@@ -101,9 +95,9 @@ class RnnConfig:
             w_out = {}
         self.k = k
         self.n_in = n_in
-        self.w_in = _as_weight_dict(w_in, "w_in", k, ncols=n_in + 1)
-        self.w_res = _as_weight_dict(w_res, "w_res", k)
-        self.w_out = _as_weight_dict(w_out, "w_out", k, nrows=2)
+        self.w_in = _as_weight_dict(w_in, "w_in", k, n_in + 1)
+        self.w_res = _as_weight_dict(w_res, "w_res", k, k)
+        self.w_out = _as_weight_dict(w_out, "w_out", 2, k)
         self.h0 = tuple(as_rat(v) for v in h0)
         if len(self.h0) != k:
             raise ValueError("h0 length does not match k")
@@ -179,15 +173,10 @@ class RnnConfig:
     def from_json(cls, d):
         if not isinstance(d["h0"], list):
             raise ValueError("h0 must be a list")
-        return cls(
-            k=d["k"],
-            n_in=d.get("n_in", 2),
-            w_in=[(i, j, w) for i, j, w in d["w_in"]],
-            w_res=[(i, j, w) for i, j, w in d["w_res"]],
-            w_out=[(i, j, w) for i, j, w in d["w_out"]],
-            h0=d["h0"],
-            cell_names=d.get("cell_names"),
-        )
+        w = {key: {(i, j): v for i, j, v in d[key]}
+             for key in ("w_in", "w_res", "w_out")}
+        return cls(k=d["k"], n_in=d.get("n_in", 2), h0=d["h0"],
+                   cell_names=d.get("cell_names"), **w)
 
 
 class NetworkState:
@@ -246,12 +235,6 @@ class Decision:
     kind: str                      # "accept" | "reject" | "timeout"
     tau: Optional[int] = None
     trace: Optional[list] = None   # [(t, h, y), ...] when requested
-
-    @property
-    def accepted(self):
-        if self.kind == "timeout":
-            return None
-        return self.kind == "accept"
 
 
 # From this size on step and the kernels take common_factor for a

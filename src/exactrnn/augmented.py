@@ -93,6 +93,9 @@ class AnnSpec:
     bias_cell: int = 0
 
     def __post_init__(self):
+        if (type(self.bias_cell) is not int
+                or not 0 <= self.bias_cell < self.base.k):
+            raise ValueError("analog bias_cell must be a cell index")
         key = (self.bias_cell, self.base.n_in)
         if key in self.base.w_in:
             raise ValueError("analog bias cell already has a rational bias")
@@ -111,10 +114,15 @@ class AnnSpec:
 
 @dataclass
 class EnnSpec:
-    """Rational network whose cell-0 bias is a fresh bit every step."""
+    """Two-input rational network whose cell-0 bias is a fresh bit
+    every step."""
 
     base: RnnConfig
     evolving_bias: BitStream
+
+    def __post_init__(self):
+        if self.base.n_in != 2:
+            raise ValueError("evolving networks need exactly two input lines")
 
     def to_json(self):
         return {"type": "enn", "base": self.base.to_json(),
@@ -293,9 +301,6 @@ def _lift_evolving(cfg):
     """Route an evolving bias into cell 0 through the stochastic input
     column: the bias column moves from index 2 to 3 and x_2 gets weight
     one into cell 0."""
-    if cfg.n_in != 2:
-        raise ValueError("evolving lift expects a two-input base")
-
     def build():
         w_in = {}
         for (i, c), wt in cfg.w_in.items():

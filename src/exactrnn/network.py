@@ -66,9 +66,11 @@ def theta(v):
 
 
 def _as_weight_dict(entries, what, rows, cols):
-    """{(i, j): w} with indices in range; zero weights dropped."""
+    """{(i, j): w} with int indices in range; zero weights dropped."""
     out = {}
     for (i, j), w in entries.items():
+        if type(i) is not int or type(j) is not int:    # JSON true is no int
+            raise ValueError(f"{what}[{i!r},{j!r}] index is not an integer")
         if not (0 <= i < rows and 0 <= j < cols):
             raise ValueError(f"{what}[{i},{j}] out of range")
         w = as_rat(w)
@@ -171,10 +173,15 @@ class RnnConfig:
 
     @classmethod
     def from_json(cls, d):
+        """Read a to_json dict; a (row, col) listed twice in one weight
+        list is refused, not overwritten."""
         if not isinstance(d["h0"], list):
             raise ValueError("h0 must be a list")
-        w = {key: {(i, j): v for i, j, v in d[key]}
-             for key in ("w_in", "w_res", "w_out")}
+        w = {}
+        for key in ("w_in", "w_res", "w_out"):
+            w[key] = {(i, j): v for i, j, v in d[key]}
+            if len(w[key]) != len(d[key]):
+                raise ValueError(f"{key} lists a (row, col) twice")
         return cls(k=d["k"], n_in=d.get("n_in", 2), h0=d["h0"],
                    cell_names=d.get("cell_names"), **w)
 

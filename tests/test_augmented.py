@@ -8,6 +8,7 @@ binomial tails for amplification).
 """
 
 import itertools
+import json
 import random
 
 import pytest
@@ -170,6 +171,14 @@ def test_analog_bias_cell_must_be_free():
         AnnSpec(base=cfg, bias_stream=half_stream())
 
 
+def test_analog_bias_cell_is_a_cell_index():
+    cfg = RnnConfig(k=2, w_in={}, w_res={}, w_out={})
+    for cell in (None, "", 1.5, True, -1, 2):
+        with pytest.raises(ValueError):
+            AnnSpec(base=cfg, bias_stream=half_stream(), bias_cell=cell)
+    assert AnnSpec(base=cfg, bias_stream=half_stream(), bias_cell=1)
+
+
 def test_interval_runner_reports_unthresholdable_nets():
     # sigma(6r - 9/2) lands exactly on 1/2 for r = 5/6: no precision
     # can legalize the output threshold
@@ -297,10 +306,21 @@ def test_replay_restarts_more_than_once_when_starved():
     assert count_restarts(e, d.trace) == 2
 
 
+def test_replay_rounds_survive_a_file_round_trip():
+    # the capture guards are read off the net, so the net read back from
+    # its file counts the rounds of the net it was written from
+    e = enn_from_tma(advice_eater_tma(), eater_stream(8))
+    back = EnnSpec.from_json(json.loads(json.dumps(e.to_json())))
+    for w in ("", "0", "1", "01", "0110", "10101"):
+        rounds = [count_restarts(x, enn_run(x, w, 5000, want_trace=True).trace)
+                  for x in (e, back)]
+        assert rounds == [1, 1], w
+
+
 def test_evolving_lift_rejects_three_input_bases():
     cfg = RnnConfig(k=1, w_in={(0, 2): 1}, w_res={}, w_out={}, n_in=3)
-    e = EnnSpec(base=cfg, evolving_bias=half_stream())
     with pytest.raises(ValueError):
+        e = EnnSpec(base=cfg, evolving_bias=half_stream())
         enn_run(e, "", 4)
 
 

@@ -335,6 +335,23 @@ def test_verify_refuses_tma_rules_that_are_not_rows(tmp_path, capsys):
         assert_one_error(capsys, "'trans' must be a list of rows of 7 entries")
 
 
+def test_verify_refuses_weight_indices_that_are_not_distinct_integers(
+        tmp_path, parity_files, capsys):
+    # an index 0.5 would read a phantom cell, and of two entries for one
+    # (row, col) the last nonzero one would win silently
+    mp, np = parity_files
+    net = json.loads(Path(np).read_text())
+    cp = write_corpus(tmp_path / "c.txt", ["", "1"])
+    (i, j, w), *rest = net["cfg"]["w_res"]
+    for entries, text in (([[i, 0.5, w]] + rest, "is not an integer"),
+                          ([[True, j, w]], "is not an integer"),
+                          ([[i, j, w], [i, j, "1"]] + rest, "twice")):
+        bad = write_json(tmp_path / "bad.rnn",
+                         mutated(net, ("cfg", "w_res"), entries))
+        assert main(["verify", mp, bad, "--corpus", cp]) == 2
+        assert_one_error(capsys, text)
+
+
 def test_verify_refuses_a_type_that_is_not_a_string(
         tmp_path, parity_files, capsys):
     mp, np = parity_files
@@ -644,6 +661,8 @@ MUTANTS = (None, "", [], [[]], {}, 1.5, True)
 # value of one of them, or of an entry inside it, exits 2
 STRICT_RNN = (("layout",), ("machine", "extra_ops"), ("machine", "initial"),
               ("cfg", "h0"), ("cfg", "cell_names"))
+# and of the analog and evolving network files
+STRICT_ADVICE = (("base", "n_in"), ("bias_cell",))
 
 
 def fields(d, path=()):
@@ -668,10 +687,10 @@ def mutated(d, path, value):
 
 
 def test_one_field_mutations_of_the_readme_files(tmp_path, capsys):
-    # each field of the README demo files, set to each of MUTANTS, goes
-    # through the commands that read the file: none may crash, and a
-    # mutated type, rule list or strict field of the compiled network is
-    # refused with one error line
+    # each field of the README demo files and of the advice-eater pairs,
+    # set to each of MUTANTS, goes through the commands that read the
+    # file: none may crash, and a mutated type, rule list, initial state
+    # or strict field of a network file is refused with one error line
     tm = parity_tm().to_json()
     mp = write_json(tmp_path / "parity.tm", tm)
     np = str(tmp_path / "parity.rnn")
@@ -681,11 +700,18 @@ def test_one_field_mutations_of_the_readme_files(tmp_path, capsys):
         "parity.rnn": json.loads(Path(np).read_text()),
         "maj3.snn": majority3_snn(two_thirds_stream()).to_json(),
         "coin.ptma": {"type": "coin-match"},
+        "eat.tma": advice_eater_tma().to_json(),
+        "eat.ann": ann_from_tma(advice_eater_tma(), eater_stream(8)).to_json(),
+        "eat.enn": enn_from_tma(advice_eater_tma(), eater_stream(8)).to_json(),
     }
     sp = write_json(tmp_path / "maj3.snn", files["maj3.snn"])
     pp = write_json(tmp_path / "coin.ptma", files["coin.ptma"])
+    tp, ap, ep = (write_json(tmp_path / name, files[name])
+                  for name in ("eat.tma", "eat.ann", "eat.enn"))
     cp = write_corpus(tmp_path / "corpus.txt", ["", "0", "1", "01", "0110",
                                                  "10101"])
+    eat = ["--corpus", write_corpus(tmp_path / "eat.txt", ["", "1", "01"]),
+           "--max-steps", "5000"]
     suite = ["--trials", "20", "--seed", "7"]
     out = str(tmp_path / "out.rnn")
     capsys.readouterr()
@@ -697,11 +723,15 @@ def test_one_field_mutations_of_the_readme_files(tmp_path, capsys):
             "parity.rnn": [["verify", mp, bad, "--corpus", cp]],
             "maj3.snn": [["stochastic-suite", bad, pp] + suite],
             "coin.ptma": [["stochastic-suite", sp, bad] + suite],
+            "eat.tma": [["verify", bad, ap] + eat, ["verify", bad, ep] + eat],
+            "eat.ann": [["verify", tp, bad] + eat],
+            "eat.enn": [["verify", tp, bad] + eat],
         }[name]
+        strict_paths = {"parity.rnn": STRICT_RNN, "eat.ann": STRICT_ADVICE,
+                        "eat.enn": STRICT_ADVICE}.get(name, ())
         for path in fields(doc):
-            strict = path[-1] in ("type", "trans", "rows") or (
-                name == "parity.rnn"
-                and any(path[:len(p)] == p for p in STRICT_RNN))
+            strict = path[-1] in ("type", "trans", "rows", "initial") or any(
+                path[:len(p)] == p for p in strict_paths)
             for value in MUTANTS:
                 text = json.dumps(mutated(doc, path, value))
                 Path(bad).write_text(text)

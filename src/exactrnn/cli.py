@@ -239,9 +239,13 @@ def _verify_pair(md, nd, args):
         cls, run = runners[kind]
         m = parse_spec(args.machine, "machine", lambda: cls.from_json(md))
         # The time envelope counts steps of the machine the network was
-        # compiled from; the machine file is only the decision oracle.
+        # compiled from, so that must be the machine file's stack form.
         net = parse_spec(args.network, "network",
                          lambda: CompiledNetwork.from_json(nd))
+        source = tm_to_stack(m) if kind == "tm" else m
+        if net.machine.to_json() != source.to_json():
+            raise UsageError(f"{args.network} was compiled from another "
+                             f"machine than {args.machine}")
 
         def net_run(w):
             try:    # a stuck probe gets the --max-steps envelope too

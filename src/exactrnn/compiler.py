@@ -404,7 +404,8 @@ def build_stack_circuit(op, content_word=""):
     requested op every cycle, so after C_OP steps the content cell
     holds op(content), after 2*C_OP steps op(op(content)), and so on.
     Observation cells are live on the way: top/empty are valid at t=2
-    within each cycle.
+    within each cycle. Returns the config; its ``cell_names`` locate
+    the cells (``stack/S/content`` and so on).
     """
     if op not in BASE_OP_TABLE:
         raise CompileError(f"unknown op {op!r}")
@@ -420,5 +421,4 @@ def build_stack_circuit(op, content_word=""):
     role, weight = BASE_OP_TABLE[op]
     b.wire(cells[role], guard, weight)
     b.h0[cells["content"]] = delta4(content_word)
-    layout = {name: i for i, name in enumerate(b.names)}
-    return b.finalize(), layout
+    return b.finalize()

@@ -5,7 +5,11 @@ raw material, bit strings indexed by input length:
 
 * ``check_kfg`` pairs a target stream with a shorter seed stream and a
   decompressor, and verifies on a finite range that every long-enough
-  seed prefix regenerates the target prefix within a time budget.
+  seed prefix regenerates the target prefix within a time budget. A
+  decompressor that declares its window (``reads``) runs once for all
+  the seed lengths past it, so the codec's own decompressors cost one
+  run per target length rather than one per (length, seed length)
+  pair, with the same report.
 * ``interleave``/``recover_prefix`` pad a stream with separator zeros
   at schedule-determined positions, so that a short prefix of the raw
   stream always suffices to rebuild a long prefix of the padded one.
@@ -109,10 +113,17 @@ class Decompressor:
 
     ``run(seed, n)`` must return ``(word, steps)`` where word is the
     length-n reconstruction attempt and steps its self-reported cost in
-    whatever unit the caller's time bound is denominated in."""
+    whatever unit the caller's time bound is denominated in.
+
+    ``reads``, when given, is the decompressor's window: a promise that
+    ``run(seed, n)`` depends on no seed bit past its first ``reads(n)``,
+    so any two seeds of at least ``reads(n)`` bits that share those bits
+    give the same result. ``None`` promises nothing: run may read every
+    bit of every seed."""
 
     name: str
     run: Callable[[str, int], tuple]
+    reads: Callable[[int], int] | None = None
 
 
 @dataclass(frozen=True)
@@ -162,6 +173,15 @@ def check_kfg(alpha, beta, d, f, g, n_max, n_min=1, strict=False):
     within g(n) steps. Records the first failing m per n; with strict
     set, raises Mismatch or BoundViolation at the first failure
     instead of reporting it.
+
+    Past d's window the seeds differ only in bits d does not read, so
+    when ``d.reads`` is set the m from m0 = max(f(n), d.reads(n)) on
+    share one run: d runs once at m0, and a pass there is credited to
+    every m up to n_max, a failure recorded at m0. The report (``checks``
+    included) and any strict error are those of a run at every m, which
+    is what a decompressor without ``reads`` gets. A length then costs
+    m0 - f(n) + 1 runs instead of n_max - f(n) + 1: one, for the codec's
+    decompressor at f = g.
     """
     failures = []
     exceptions = []
@@ -169,7 +189,9 @@ def check_kfg(alpha, beta, d, f, g, n_max, n_min=1, strict=False):
     for n in range(n_min, n_max + 1):
         want = alpha.prefix(n)
         budget = g(n)
-        for m in range(f(n), n_max + 1):
+        lo = f(n)
+        last = n_max if d.reads is None else min(n_max, max(lo, d.reads(n)))
+        for m in range(lo, last + 1):
             checks += 1
             got, steps = d.run(beta.prefix(m), n)
             if got != want:
@@ -186,6 +208,8 @@ def check_kfg(alpha, beta, d, f, g, n_max, n_min=1, strict=False):
                 continue
             exceptions.append(n)
             break
+        else:   # the run at last stands for every m past it
+            checks += n_max - last
     threshold = max(exceptions) + 1 if exceptions else n_min
     return KfgReport(n_min=n_min, n_max=n_max, checks=checks,
                      failures=tuple(failures), exceptions=tuple(exceptions),
@@ -396,7 +420,8 @@ def interleave_decompressor(g):
     interleaves the seed through g's layout at n (computed once per
     instance, non-empty blocks only where few hold data) and cuts the
     result to n bits; a seed shorter than g(n) is padded with zeros.
-    Cost is reported as one step per emitted bit.
+    Cost is reported as one step per emitted bit. run reads only the
+    first g(n) seed bits, the layout's ``bits``, so g is its window.
     """
     layouts = g._layouts
 
@@ -405,12 +430,13 @@ def interleave_decompressor(g):
         data = seed[:lay.bits].ljust(lay.bits, "0")
         return lay.fill(lay.head(data))[:n], n
 
-    return Decompressor(name=f"unzip[{g.name}]", run=run)
+    return Decompressor(name=f"unzip[{g.name}]", run=run, reads=g)
 
 
 def identity_decompressor():
     """Seeds that literally are the target: copy n bits through."""
-    return Decompressor(name="copy", run=lambda seed, n: (seed[:n], n))
+    return Decompressor(name="copy", run=lambda seed, n: (seed[:n], n),
+                        reads=lambda n: n)
 
 
 # ---------------------------------------------------------------------------

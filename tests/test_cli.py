@@ -183,6 +183,25 @@ def test_verify_corrupted_weight_names_witness(tmp_path, parity_files):
                and not r["agree"] for r in recs)
 
 
+def test_verify_refuses_a_net_compiled_from_another_machine(
+        tmp_path, parity_files, capsys):
+    mp, np = parity_files
+    sp = write_json(tmp_path / "dyck.sm", dyck_sm().to_json())
+    dp = str(tmp_path / "dyck.rnn")
+    assert main(["compile", sp, "--out", dp]) == 0
+    cp = write_corpus(tmp_path / "corpus.txt", ["", "0", "1", "01", "0110",
+                                                "10101"])
+    capsys.readouterr()
+    # unrefused, parity.tm against dyck.rnn reads 3 mismatches, each run
+    # with the Dyck machine's step budget
+    for machine, net in ((mp, dp), (sp, np)):
+        assert main(["verify", machine, net, "--corpus", cp]) == 2
+        assert_one_error(capsys,
+                         f"{net} was compiled from another machine than "
+                         f"{machine}")
+    assert main(["verify", sp, dp, "--corpus", cp]) == 0
+
+
 def test_verify_zero_denominator_exits_2(tmp_path, parity_files, capsys):
     mp, np = parity_files
     cp = write_corpus(tmp_path / "corpus.txt", ["", "1"])

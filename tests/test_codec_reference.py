@@ -12,6 +12,7 @@ and the per-length codec layouts may and may not store.
 """
 
 import random
+from dataclasses import replace
 from operator import itemgetter
 
 import pytest
@@ -28,7 +29,8 @@ from exactrnn.nonuniform import (
     recover_prefix,
 )
 from exactrnn.words import BitStream, check_bitword
-from exactrnn.zoo import double_bound, log2_bound, sqrt_bound
+from exactrnn.zoo import (double_bound, identity_bound, log2_bound,
+                          sqrt_bound)
 
 N_MAX = 64
 
@@ -150,26 +152,105 @@ def test_interleave_and_recover_match_reference(values, word, tail, n, data):
        st.integers(0, N_MAX), st.data())
 def test_decompressor_matches_reference(values, word, n, n2, data):
     g, g_ref = twin_bounds(values)
-    run, ref = interleave_decompressor(g).run, reference_run(g_ref)
+    d, ref = interleave_decompressor(g), reference_run(g_ref)
     # n, n2, n: the one-entry layout must be rebuilt when n changes back
     for m in (n, n2, n):
         for seed in (word,
                      word[:data.draw(st.integers(0, len(word)), label="cut")],
                      word + data.draw(bit_words, label="extra")):
-            assert run(seed, m) == ref(seed, m)
+            assert d.run(seed, m) == ref(seed, m)
+            # the declared window: no bit past reads(m) changes the run
+            k = d.reads(m)
+            if len(seed) >= k:
+                other = seed[:k] + data.draw(bit_words, label="beyond")
+                assert d.run(seed, m) == d.run(other, m)
+
+
+KFG_N = 48
 
 
 def test_compression_check_matches_reference_decompressor():
+    """check_kfg shares one run among the seed lengths past the codec's
+    window; the reference declares none, so it runs at every m. The
+    inputs make the first failure land below that window's start m0 (an
+    f under g has short seeds padded with zeros) and at m0, as a
+    mismatch and as a time overrun; an f over g starts past the window.
+    Strict mode must raise alike."""
     rng = random.Random(7)
-    for g in (log2_bound(), sqrt_bound(), double_bound()):
+    margin = BoundFunction("margin", lambda n: (n + 2) ** 2)
+    tight = BoundFunction("tight", lambda n: n - (n % 7 == 3))
+    seen = set()
+    for g in (log2_bound(), sqrt_bound(), identity_bound(), double_bound()):
+        half = BoundFunction("half", lambda n, g=g: g(n) // 2)
+        over = BoundFunction("over", lambda n, g=g: g(n) + 1)
         seed = BitStream.from_word(
-            "".join(rng.choice("01") for _ in range(g(48) + 1)))
-        stream = BitStream.from_word(interleave(seed, g, 48))
-        margin = BoundFunction("margin", lambda n: (n + 2) ** 2)
+            "".join(rng.choice("01") for _ in range(g(KFG_N) + 1)))
+        s = interleave(seed, g, KFG_N)
+        targets = [s] + [s[:j] + "10"[int(s[j])] + s[j + 1:]
+                         for j in rng.sample(range(KFG_N), 3)]
         d = interleave_decompressor(g)
         ref = Decompressor(d.name, reference_run(BoundFunction(g.name, g.fn)))
-        assert (check_kfg(stream, seed, d, g, margin, 48)
-                == check_kfg(stream, seed, ref, g, margin, 48))
+        for target in targets:
+            stream = BitStream.from_word(target)
+            for f in (g, half, over):
+                for time in (margin, tight):
+                    for strict in (False, True):
+                        got = outcome(check_kfg, stream, seed, d, f, time,
+                                      KFG_N, 1, strict)
+                        assert got == outcome(check_kfg, stream, seed, ref,
+                                              f, time, KFG_N, 1, strict)
+                        if strict:
+                            continue
+                        for fl in got[1].failures:
+                            m0 = max(f(fl.n), g(fl.n))
+                            seen.add((fl.kind, fl.m == m0))
+    assert seen == {(kind, at) for kind in ("mismatch", "time")
+                    for at in (False, True)}
+
+
+def test_compression_check_runs_the_codec_once_per_length():
+    """With f = g every seed length is past the codec's window, so each
+    target length costs one run however many seed lengths it covers."""
+    rng = random.Random(11)
+    margin = BoundFunction("margin", lambda n: (n + 2) ** 2)
+    for g, n_max, checks in ((log2_bound(), 64, 3839),
+                             (sqrt_bound(), 1024, 1027248)):
+        d = interleave_decompressor(g)
+        calls = []
+
+        def counted(seed, n, run=d.run):
+            calls.append(n)
+            return run(seed, n)
+
+        seed = BitStream.from_word(
+            "".join(rng.choice("01") for _ in range(g(n_max) + 1)))
+        stream = BitStream.from_word(interleave(seed, g, n_max))
+        rep = check_kfg(stream, seed, replace(d, run=counted), g, margin,
+                        n_max)
+        assert rep.ok and rep.checks == checks
+        assert calls == list(range(1, n_max + 1))
+
+
+def test_compression_check_runs_every_seed_short_of_the_window():
+    """A copy that pads short seeds with zeros reads exactly n bits, so a
+    seed one bit short may pass where every full-length seed fails, and
+    the other way round: check_kfg must run each m below reads(n)."""
+    pad = Decompressor("pad", lambda seed, n: (seed[:n].ljust(n, "0"), n))
+    windowed = replace(pad, reads=lambda n: n)
+    half = BoundFunction("half", lambda n: n // 2)
+    budget = BoundFunction("budget", lambda n: n)
+    rng = random.Random(3)
+    for _ in range(40):
+        word = "".join(rng.choice("01") for _ in range(24))
+        seed = BitStream.from_word(word)
+        for j in rng.sample(range(24), rng.randint(0, 2)):
+            word = word[:j] + "10"[int(word[j])] + word[j + 1:]
+        target = BitStream.from_word(word)
+        for strict in (False, True):
+            assert (outcome(check_kfg, target, seed, windowed, half, budget,
+                            24, 1, strict)
+                    == outcome(check_kfg, target, seed, pad, half, budget,
+                               24, 1, strict))
 
 
 def test_negative_block_counts_are_refused():

@@ -86,9 +86,9 @@ def run_free(cfg, steps):
 # ---------------------------------------------------------- stack circuit
 
 def circuit_content(op, word, cycles=1):
-    cfg, layout = build_stack_circuit(op, word)
+    cfg = build_stack_circuit(op, word)
     hs = run_free(cfg, C_OP * cycles)
-    return hs[C_OP * cycles][layout["stack/S/content"]]
+    return hs[C_OP * cycles][cfg.cell_names.index("stack/S/content")]
 
 
 def test_stack_circuit_pop():
@@ -115,18 +115,11 @@ def test_stack_circuit_iterated():
 
 
 def test_stack_circuit_observations():
-    cfg, layout = build_stack_circuit("noop", "1110")
-    hs = run_free(cfg, 2)
-    assert hs[2][layout["stack/S/top"]] == 1
-    assert hs[2][layout["stack/S/empty"]] == 1
-    cfg, layout = build_stack_circuit("noop", "01")
-    hs = run_free(cfg, 2)
-    assert hs[2][layout["stack/S/top"]] == 0
-    assert hs[2][layout["stack/S/empty"]] == 1
-    cfg, layout = build_stack_circuit("noop", "")
-    hs = run_free(cfg, 2)
-    assert hs[2][layout["stack/S/top"]] == 0
-    assert hs[2][layout["stack/S/empty"]] == 0
+    for word, top, empty in (("1110", 1, 1), ("01", 0, 1), ("", 0, 0)):
+        cfg = build_stack_circuit("noop", word)
+        hs = run_free(cfg, 2)
+        assert hs[2][cfg.cell_names.index("stack/S/top")] == top
+        assert hs[2][cfg.cell_names.index("stack/S/empty")] == empty
 
 
 def test_stack_circuit_unknown_op():

@@ -123,15 +123,33 @@ def load_json(path):
     return d
 
 
-def parse_spec(path, what, build):
-    """Run a spec parser: a missing key, or a value of the wrong type or
-    range (a list where an object belongs, a zero denominator), in the
-    file is a usage error, not a crash."""
+# file "type" -> spec class; a network file without one is a compiled net
+SPECS = {"tm": TmSpec, "tma": TmaSpec, "ptm": PtmSpec,
+         "stack-machine": StackMachineSpec, "ann": AnnSpec, "enn": EnnSpec,
+         "snn": SnnSpec, None: CompiledNetwork}
+
+
+def read_spec(path, d, what, types):
+    """The spec of a loaded file whose "type" is one of types (None when
+    it has none).  A missing key, or a value of the wrong type or range
+    (a list where an object belongs, a zero denominator), in the file is
+    a usage error, not a crash."""
+    kind = d.get("type")
+    if not isinstance(kind, (str, type(None))):
+        raise UsageError(f"{path}: \"type\" is not a string")
+    if kind not in types:
+        raise UsageError(f"{path}: {what} type {kind!r} is not one of "
+                         f"{', '.join(map(repr, types))}")
     try:
-        return build()
+        return SPECS[kind].from_json(d)
     except (AttributeError, KeyError, TypeError, ValueError,
             ZeroDivisionError) as exc:
         raise UsageError(f"{path}: malformed {what} spec: {exc}") from exc
+
+
+def stack_form(m):
+    """The stack machine a tm or stack-machine spec compiles to."""
+    return tm_to_stack(m) if isinstance(m, TmSpec) else m
 
 
 def load_corpus(path):
@@ -160,16 +178,8 @@ def load_corpus(path):
 
 def cmd_compile(args, rec):
     d = load_json(args.machine)
-    kind = d.get("type")
-    if kind == "tm":
-        source = parse_spec(args.machine, "machine",
-                            lambda: tm_to_stack(TmSpec.from_json(d)))
-    elif kind == "stack-machine":
-        source = parse_spec(args.machine, "machine",
-                            lambda: StackMachineSpec.from_json(d))
-    else:
-        raise UsageError(f"{args.machine}: cannot compile machine type {kind!r}")
-    net = compile_machine(source)
+    m = read_spec(args.machine, d, "machine", ("tm", "stack-machine"))
+    net = compile_machine(stack_form(m))
     write_text(args.out, canonical(net.to_json()) + "\n")
     rec.emit(record="header", command="compile", seed=None, corpus=None,
              config=config_hash(d))
@@ -196,56 +206,19 @@ def _outcome(run, w):
         return "error:" + type(exc).__name__
 
 
-# network type -> (name in the error text, spec class, advice stream)
-ADVICE_NETS = {
-    "ann": ("an analog", AnnSpec, "bias_stream"),
-    "enn": ("an evolving", EnnSpec, "evolving_bias"),
-}
-
-
 def _verify_pair(md, nd, args):
     """The machine and the network runner, word -> Decision, of a file
     pair."""
-    kind = md.get("type")
     bound = args.max_steps
-    for path, d in ((args.machine, md), (args.network, nd)):
-        if not isinstance(d.get("type"), (str, type(None))):
-            raise UsageError(f"{path}: \"type\" is not a string")
-
-    if nd.get("type") in ADVICE_NETS:
-        name, spec_cls, stream = ADVICE_NETS[nd["type"]]
-        if kind != "tma":
-            raise UsageError(f"{name} network verifies against an advice "
-                             "machine (type tma)")
-        m = parse_spec(args.machine, "machine", lambda: TmaSpec.from_json(md))
-        spec = parse_spec(args.network, "network",
-                          lambda: spec_cls.from_json(nd))
-        adv = advice_from_stream(getattr(spec, stream), lambda n: bound)
-        pb = args.precision_bits
-        budget = {} if pb is None else {"start_bits": pb, "max_bits": pb}
-
-        def net_run(w):
-            if spec_cls is EnnSpec:
-                return enn_run(spec, w, bound)
-            return ann_run(spec, w, bound, **budget)
-        return (lambda w: tma_run(m, adv, w, bound)), net_run
-
-    if "cfg" in nd:
-        runners = {"tm": (TmSpec, tm_run),
-                   "stack-machine": (StackMachineSpec, stack_run)}
-        if kind not in runners:
-            raise UsageError(f"cannot pair a {kind!r} machine with a "
-                             "compiled network")
-        cls, run = runners[kind]
-        m = parse_spec(args.machine, "machine", lambda: cls.from_json(md))
+    net = read_spec(args.network, nd, "network", (None, "ann", "enn"))
+    if isinstance(net, CompiledNetwork):
+        m = read_spec(args.machine, md, "machine", ("tm", "stack-machine"))
         # The time envelope counts steps of the machine the network was
         # compiled from, so that must be the machine file's stack form.
-        net = parse_spec(args.network, "network",
-                         lambda: CompiledNetwork.from_json(nd))
-        source = tm_to_stack(m) if kind == "tm" else m
-        if net.machine.to_json() != source.to_json():
+        if net.machine.to_json() != stack_form(m).to_json():
             raise UsageError(f"{args.network} was compiled from another "
                              f"machine than {args.machine}")
+        run = tm_run if isinstance(m, TmSpec) else stack_run
 
         def net_run(w):
             try:    # a stuck probe gets the --max-steps envelope too
@@ -255,7 +228,18 @@ def _verify_pair(md, nd, args):
             return net.run(w, bound if steps is None else steps)
         return (lambda w: run(m, w, bound)), net_run
 
-    raise UsageError(f"{args.network}: not a recognized network file")
+    m = read_spec(args.machine, md, "machine", ("tma",))
+    evolving = isinstance(net, EnnSpec)
+    adv = advice_from_stream(net.evolving_bias if evolving
+                             else net.bias_stream, lambda n: bound)
+    pb = args.precision_bits
+    budget = {} if pb is None else {"start_bits": pb, "max_bits": pb}
+
+    def net_run(w):
+        if evolving:
+            return enn_run(net, w, bound)
+        return ann_run(net, w, bound, **budget)
+    return (lambda w: tma_run(m, adv, w, bound)), net_run
 
 
 def cmd_verify(args, rec):
@@ -295,16 +279,6 @@ def cmd_verify(args, rec):
 # stochastic suite
 
 
-def _machine_of_advice(d, path):
-    kind = d.get("type")
-    if kind == "coin-match":
-        return coin_match_ptm
-    if kind == "ptm":
-        m = parse_spec(path, "machine", lambda: PtmSpec.from_json(d))
-        return lambda _advice: m
-    raise UsageError(f"{path}: cannot build a coin machine from type {kind!r}")
-
-
 def cmd_stochastic_suite(args, rec):
     """Empirical rates for the three sampling error budgets.
 
@@ -316,14 +290,18 @@ def cmd_stochastic_suite(args, rec):
     if args.max_steps < 1:
         raise UsageError("--max-steps must be a positive step budget")
     sd = load_json(args.snn)
-    if sd.get("type") != "snn":
-        raise UsageError(f"{args.snn}: not a stochastic network file")
-    snn = parse_spec(args.snn, "network", lambda: SnnSpec.from_json(sd))
+    snn = read_spec(args.snn, sd, "network", ("snn",))
     if snn.prob_stream.value in (None, 0, 1):
         raise UsageError(f"{args.snn}: the coin needs a closed-form "
                          "probability strictly between 0 and 1")
     pd = load_json(args.ptma)
-    machine_of = _machine_of_advice(pd, args.ptma)
+    if pd.get("type") == "coin-match":     # the shipped machine, no spec
+        machine_of = coin_match_ptm
+    else:
+        ptm = read_spec(args.ptma, pd, "machine", ("coin-match", "ptm"))
+
+        def machine_of(_advice):
+            return ptm
 
     def f(_n):
         return args.max_steps

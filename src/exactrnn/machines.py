@@ -348,8 +348,11 @@ class StackMachineSpec:
             for s, op in row.ops.items():
                 if s not in self.stacks:
                     raise ValueError(f"unknown stack {s!r} in row {row!r}")
-                name = op[0] if isinstance(op, tuple) else op
-                if name not in BASE_OPS and name not in self.extra_ops:
+                if isinstance(op, tuple):   # only extra ops take arguments
+                    known = op and op[0] in self.extra_ops
+                else:
+                    known = op in BASE_OPS or op in self.extra_ops
+                if not known:
                     raise ValueError(f"unknown op {op!r} in row {row!r}")
             self.rows_by_state.setdefault(row.state, []).append(row)
         _check_initial(initial, self.rows_by_state)

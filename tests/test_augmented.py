@@ -606,3 +606,23 @@ def test_majority_amplification_refuses_a_probability_outside_0_1(p_accept):
         amplify_majority_exact(p_accept, 3)
     assert amplify_majority_exact(0, 3) == 0
     assert amplify_majority_exact(1, 3) == 1
+
+
+@pytest.mark.parametrize("build, text", [
+    (lambda: SnnSpec(base=RnnConfig(k=1, w_in={}, w_res={}, w_out={}, h0=[0]),
+                     prob_stream=two_thirds_stream()),
+     "stochastic networks need the third input line"),
+    (lambda: snn_run(majority3_snn(two_thirds_stream()), "", 4,
+                     mode="bogus"),
+     "unknown mode 'bogus'"),
+    (lambda: algo3_ptma_simulate_snn(majority3_snn(two_thirds_stream()),
+                                     lambda n: 0, "", seed=0),
+     "step budget must be positive"),
+    (lambda: algo4_snn_simulate_ptma(coin_match_ptm, two_thirds_stream(),
+                                     lambda n: 0, "", seed=0),
+     "step budget must be positive"),
+])
+def test_stochastic_refusals(build, text):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert text in str(exc.value)

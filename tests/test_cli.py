@@ -564,6 +564,109 @@ def test_stochastic_suite_accepts_fixed_ptm(tmp_path, suite_files):
     assert rc == 0 and recs[-1]["verdict"] == "pass"
 
 
+# ------------------------------------------------------ file-type table
+
+FIXED_PTM = {"type": "ptm", "initial": "go",
+             "trans0": [["go", "_", "_", "S", "accept"]],
+             "trans1": [["go", "_", "_", "S", "reject"]]}
+
+
+@pytest.fixture
+def typed_files(tmp_path, parity_files):
+    """One file of each type a command may be handed, by type name."""
+    mp, np = parity_files
+    m, r = advice_eater_tma(), eater_stream(8)
+    docs = {
+        "tma": m.to_json(),
+        "ptm": FIXED_PTM,
+        "stack-machine": dyck_sm().to_json(),
+        "ann": ann_from_tma(m, r).to_json(),
+        "enn": enn_from_tma(m, r).to_json(),
+        "snn": majority3_snn(two_thirds_stream()).to_json(),
+        "untyped": {k: v for k, v in parity_tm().to_json().items()
+                    if k != "type"},
+    }
+    files = {kind: write_json(tmp_path / f"{kind}.json", d)
+             for kind, d in docs.items()}
+    return {"tm": mp, "compiled": np, **files}
+
+
+def refused_naming(capsys, argv, path):
+    """argv exits 2 with one error line that names path."""
+    assert main(argv) == 2, argv
+    assert_one_error(capsys, f"{path}: ")
+
+
+@pytest.mark.parametrize("kind", ["tma", "ptm", "ann", "untyped"])
+def test_compile_refuses_types_it_cannot_compile(tmp_path, typed_files,
+                                                 kind, capsys):
+    out = tmp_path / "x.rnn"
+    path = typed_files[kind]
+    capsys.readouterr()
+    refused_naming(capsys, ["compile", path, "--out", str(out)], path)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("machine, network, blamed", [
+    ("tm", "ann", "machine"),
+    ("tma", "compiled", "machine"),
+    ("stack-machine", "enn", "machine"),
+    ("tm", "snn", "network"),
+    ("tma", "snn", "network"),
+    ("stack-machine", "snn", "network"),
+    ("tm", "untyped", "network"),
+])
+def test_verify_refuses_pairs_outside_the_table(tmp_path, typed_files,
+                                                machine, network, blamed,
+                                                capsys):
+    cp = write_corpus(tmp_path / "c.txt", ["", "1"])
+    mp, np = typed_files[machine], typed_files[network]
+    capsys.readouterr()
+    refused_naming(capsys, ["verify", mp, np, "--corpus", cp],
+                   mp if blamed == "machine" else np)
+
+
+@pytest.mark.parametrize("network, coins, blamed", [
+    ("ann", "coin", "network"),
+    ("snn", "tm", "coins"),
+])
+def test_stochastic_suite_refuses_types_outside_the_table(
+        tmp_path, typed_files, suite_files, network, coins, blamed, capsys):
+    _, pp = suite_files
+    sp = typed_files[network]
+    cm = pp if coins == "coin" else typed_files[coins]
+    capsys.readouterr()
+    refused_naming(capsys, ["stochastic-suite", sp, cm, "--trials", "5"],
+                   sp if blamed == "network" else cm)
+
+
+def test_a_base_op_with_an_argument_is_refused_at_read_time(tmp_path, capsys):
+    # the compiler would wire ["push0", "junk"] as push0 while stack_run
+    # finds no semantics for it: every word read error:MachineStuck
+    def junk(d):
+        for row in d["rows"]:
+            row[3] = {s: ["push0", "junk"] if op == "push0" else op
+                      for s, op in row[3].items()}
+        return d
+    sm = dyck_sm().to_json()
+    good = write_json(tmp_path / "dyck.sm", sm)
+    np = tmp_path / "dyck.rnn"
+    assert main(["compile", good, "--out", str(np)]) == 0
+    bad = write_json(tmp_path / "junk.sm", junk(copy.deepcopy(sm)))
+    out = tmp_path / "junk.rnn"
+    capsys.readouterr()
+    assert main(["compile", bad, "--out", str(out)]) == 2
+    assert_one_error(capsys, "unknown op ('push0', 'junk')")
+    assert not out.exists()
+
+    net = json.loads(np.read_text())
+    bad_net = write_json(tmp_path / "junk.rnn",
+                         {**net, "machine": junk(net["machine"])})
+    cp = write_corpus(tmp_path / "c.txt", ["", "0", "01", "0011"])
+    assert main(["verify", bad, bad_net, "--corpus", cp]) == 2
+    assert_one_error(capsys, "unknown op ('push0', 'junk')")
+
+
 # ------------------------------------------------------------ diagonalize
 
 def test_diagonalize_singleton_empty_family(tmp_path, capsys):

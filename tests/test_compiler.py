@@ -7,7 +7,8 @@ import pytest
 
 from exactrnn.compiler import (
     BASE_OP_TABLE, C_OP, C_RAMP, C_STEP, CompiledNetwork, NetBuilder,
-    assemble_program, build_stack_circuit, compile_machine,
+    add_boot_and_clock, assemble_program, build_stack_circuit,
+    compile_machine, wire_program,
 )
 from exactrnn.errors import CompileError
 from exactrnn.machines import Row, StackMachineSpec, stack_run, tm_run, \
@@ -303,3 +304,15 @@ def test_compiled_json_round_trips(sm):
     assert back.program.to_json() == net.program.to_json()
     for w in ("", "01", "0110"):
         assert back.run(w).kind == net.run(w).kind
+
+
+@pytest.mark.parametrize("op", ["push5", ("push5", "X")])
+def test_wiring_refuses_an_op_without_a_candidate_template(op):
+    # assemble_program lets push5 through for a caller that brings its
+    # own op table; wired without one, the guard has nothing to select
+    sm = StackMachineSpec(stacks=("S",), initial="s", extra_ops=("push5",),
+                          rows=[Row("s", "end", {}, {"S": op}, "accept")])
+    program = assemble_program(sm, allowed_extra=("push5",))
+    b = NetBuilder(n_in=2)
+    with pytest.raises(CompileError, match="has no candidate template"):
+        wire_program(b, add_boot_and_clock(b), program)

@@ -36,8 +36,10 @@ from exactrnn.machines import (
     tm_to_stack,
     tma_run,
     tma_to_stack,
+    tma_to_stack_replay,
 )
 from exactrnn.words import BitStream, as_rat, words_of_length
+from exactrnn.zoo import advice_eater_tma
 
 R = as_rat
 
@@ -535,3 +537,50 @@ def test_machine_json_roundtrips():
     ta2 = TmaSpec.from_json(ta.to_json())
     adv = Advice(size=lambda n: 1, word=lambda n: "1")
     assert tma_run(ta2, adv, "0", 10).kind == "accept"
+
+
+# ------------------------------------------------------------- refusals
+
+
+def one_stack(*rows, stacks=("S",)):
+    return StackMachineSpec(stacks=stacks, rows=list(rows), initial="q")
+
+
+@pytest.mark.parametrize("build, error, text", [
+    (lambda: Row("q", "eps", {}, {}, "accept"), ValueError,
+     "bad read field 'eps'"),
+    (lambda: Row("q", None, {"S": "2"}, {}, "accept"), ValueError,
+     "bad observation '2'"),
+    (lambda: one_stack(stacks=("S", "S")), ValueError,
+     "duplicate stack names"),
+    (lambda: one_stack(Row("q", "end", {"T": "e"}, {}, "accept")),
+     ValueError, "unknown stack 'T'"),
+    (lambda: one_stack(Row("q", "end", {}, {"S": "push2"}, "accept")),
+     ValueError, "unknown op 'push2'"),
+    # only extra ops take an argument: the compiler would wire this as
+    # push0, where stack_run finds no semantics for it
+    (lambda: one_stack(Row("q", "end", {}, {"S": ("push0", "x")}, "accept")),
+     ValueError, "unknown op ('push0', 'x')"),
+    (lambda: one_stack(Row("q", "end", {}, {"S": ()}, "accept")),
+     ValueError, "unknown op ()"),
+    (lambda: TmaSpec({("q", "2", "0"): ("0", "R", "S", "accept")}, "q"),
+     ValueError, "bad symbols in rule key"),
+    (lambda: TmaSpec({("q", "0", "2"): ("0", "R", "S", "accept")}, "q"),
+     ValueError, "bad symbols in rule key"),
+    (lambda: TmaSpec({("q", "0", "0"): ("0", "R", "X", "accept")}, "q"),
+     ValueError, "bad advice move"),
+    (lambda: TmSpec({("q", "2"): ("0", "R", "accept")}, "q"),
+     ValueError, "bad symbol in rule key"),
+    (lambda: TmSpec({("q", "0"): ("2", "R", "accept")}, "q"),
+     ValueError, "bad rule"),
+    (lambda: TmSpec({("q", "0"): ("0", "X", "accept")}, "q"),
+     ValueError, "bad rule"),
+    # the replay's load_from has meaning only in the network
+    (lambda: stack_run(tma_to_stack_replay(advice_eater_tma()), "", 500),
+     MachineStuck, "has no symbolic semantics"),
+])
+def test_machine_refusals(build, error, text):
+    with pytest.raises(error) as exc:
+        build()
+    assert text in str(exc.value)
+

@@ -379,3 +379,19 @@ def test_the_evolving_lift_turns_hot_where_majority_of_three_stays_cold(
         assert aug.enn_run(e, "0110", 5000).tau == 765
     lifted = aug._lift_evolving(e.base)
     assert lifted._kernels and kernels_built == list(lifted._kernels.values())
+
+
+@pytest.mark.parametrize("build, text", [
+    (lambda: RnnConfig(k=1, w_in={}, w_res={}, w_out={}, h0=[R(3) / 2]),
+     "initial state must lie in [0,1]"),
+    (lambda: RnnConfig(k=2, w_in={}, w_res={}, w_out={}, h0=[0, -1]),
+     "initial state must lie in [0,1]"),
+    (lambda: step(zero_net(), NetworkState(0, (R(0),)), (0,)),
+     "expected 2 input lines, got 1"),
+    (lambda: step(zero_net(), NetworkState(0, (R(0),)), (0, 0, 1)),
+     "expected 2 input lines, got 3"),
+])
+def test_network_refusals(build, text):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert text in str(exc.value)

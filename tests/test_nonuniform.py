@@ -553,3 +553,32 @@ def test_codec_roundtrip_property(data):
     adv = prefix_codec_encode(slices, LOG2, DOUBLE)
     for s, n in zip(slices, lengths):
         assert prefix_codec_decode(adv.padded(n), n) == s
+
+
+UNTAGGED = BoundFunction("untagged-log2", LOG2.fn, poly_computable=False)
+
+
+@pytest.mark.parametrize("dominators, detail", [
+    ({}, "no polynomial-computable dominator supplied"),
+    ({"untagged-log2": BoundFunction("untagged-id", IDENT.fn,
+                                     poly_computable=False)},
+     "untagged-id not tagged polynomial-computable"),
+])
+def test_validate_reasonable_reports_a_missing_dominator(dominators, detail):
+    rep = validate_reasonable([UNTAGGED], n_max=64, n_min=4,
+                              dominators=dominators)
+    assert not rep.ok
+    assert rep.failures == (("dominance", "untagged-log2", 4, detail),)
+    assert rep.lines() == [
+        "reasonable range n=4..64 failures=1",
+        f"fail dominance untagged-log2 n=4: {detail}"]
+
+
+@pytest.mark.parametrize("cap, valid_to", [(4, 4), (5, 5), (6, 5)])
+def test_codec_serves_up_to_cap_without_a_next_sample_length(cap, valid_to):
+    # the sample lengths of (ceil-log2, double) are 1, 6, 12, ...; below
+    # cap 6 no second one exists, so the advice serves through cap
+    adv = prefix_codec_encode([LanguageSlice(1, {"0"})], LOG2, DOUBLE,
+                              cap=cap)
+    assert adv.sample_lengths == (1,)
+    assert adv.valid_to == valid_to

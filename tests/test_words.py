@@ -278,3 +278,9 @@ def test_stream_json_roundtrip():
         t = BitStream.from_json(json.loads(blob))
         assert t.prefix(40) == s.prefix(40)
         assert t.value == s.value
+
+
+@pytest.mark.parametrize("q", [R(-1) / 3, R(4) / 3, 2, -1])
+def test_stream_from_rational_refuses_values_outside_0_1(q):
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        BitStream.from_rational(q)

@@ -53,9 +53,13 @@ def canonical(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def config_hash(obj):
+def text_hash(text):
     import hashlib     # loads libcrypto; only record writers pay for it
-    return hashlib.sha256(canonical(obj).encode("ascii")).hexdigest()[:16]
+    return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
+
+
+def config_hash(obj):
+    return text_hash(canonical(obj))
 
 
 class RecordSink:
@@ -180,11 +184,12 @@ def cmd_compile(args, rec):
     d = load_json(args.machine)
     m = read_spec(args.machine, d, "machine", ("tm", "stack-machine"))
     net = compile_machine(stack_form(m))
-    write_text(args.out, canonical(net.to_json()) + "\n")
+    text = canonical(net.to_json())
+    write_text(args.out, text + "\n")
     rec.emit(record="header", command="compile", seed=None, corpus=None,
              config=config_hash(d))
     rec.emit(record="aggregate", command="compile", cells=net.cfg.k,
-             network=config_hash(net.to_json()),
+             network=text_hash(text),
              constants={"c_ramp": C_RAMP, "c_step": C_STEP})
     return 0
 

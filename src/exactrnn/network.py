@@ -26,13 +26,18 @@ input lines or its step is long, and each pattern it then meets
 _SIGHTINGS times gets a step kernel: a straight-line function,
 generated from the config's integer weights and compiled once, that
 does what the interpreted loop does for that pattern at either size,
-readout included, in about half the time.  The interpreted loop stays
-the path of a cold config and of a rare pattern, because a kernel
-costs as much to build as a few dozen interpreted steps, and a
-one-shot command such as the README verify meets each of its patterns
-a few times at most.  A net whose third input line (coins) drives its
-live cells and whose steps stay short, such as majority of three,
-never turns hot.
+readout included, in about half the time.  A kernel skips work that
+lowest terms would undo: its sums run over one / f, where the pattern
+factor f is the gcd of the config's denominator and every coefficient
+the kernel writes (on most patterns of a compiled net, whose
+denominator is 4, f is 4), and each sum is written as the gcd of its
+own coefficients times a sum in which a coefficient of one is a plain
+add.  The interpreted loop stays the path of a cold config and of a
+rare pattern, because a kernel costs as much to build as a few dozen
+interpreted steps, and a one-shot command such as the README verify
+meets each of its patterns a few times at most.  A net whose third
+input line (coins) drives its live cells and whose steps stay short,
+such as majority of three, never turns hot.
 
 Word I/O protocol: bit i of the word arrives as x_0 = w_i with
 validation x_1 = 1, input then goes silent (0,0).  The network answers
@@ -222,14 +227,20 @@ class NetworkState:
         return self._h
 
     def truncated(self, q):
-        """The state with every cell cut toward zero to q fractional bits."""
+        """The state with every cell cut toward zero to q fractional bits.
+
+        A power-of-two den, which every truncated run has, cuts by a
+        shift; any other den divides.
+        """
         one = 1 << q
-        if one % self.den == 0:
-            return self
         den = self.den
+        if one % den == 0:
+            return self
+        shift = den.bit_length() - 1 - q
+        dyadic = den == 1 << (shift + q)
         nums = {}
         for i, m in self.nums.items():
-            m = m * one // den
+            m = m >> shift if dyadic else m * one // den
             if m:
                 nums[i] = m
         return NetworkState._sparse(self.t, self.k, one, nums)
@@ -259,11 +270,16 @@ def common_factor(one, *nums):
     math.gcd, which then costs linear time when that part is short
     instead of quadratic time in the length of one.  The result is
     exact for any size; at 64 bits or fewer a plain gcd is faster.
+    An odd numerator leaves no power of two to take, so the first one
+    ends the search before any long operand is or-ed.
     """
+    odd = one >> ((one & -one).bit_length() - 1)
+    for v in nums:
+        if v & 1:
+            return math.gcd(odd, *nums)
     low = one
     for v in nums:
         low |= v
-    odd = one >> ((one & -one).bit_length() - 1)
     return math.gcd(odd, *nums) << ((low & -low).bit_length() - 1)
 
 
@@ -317,6 +333,19 @@ def _kernel(cfg, state, x):
     guarded store per cell.  The kernel reads out the sums before they
     are brought to lowest terms, which leaves every comparison with one
     and every readout value unchanged.
+
+    The kernel takes out the pattern factor f, the gcd of cfg._den and
+    every coefficient of every sum it writes in full (sums that cannot
+    pass 0 or that are one are not written): it sums over one / f with
+    each coefficient divided by f, so lowest terms divides by g / f and
+    reaches the state the loop reaches.  The readout compares over
+    cfg._den * one and so sees the same rationals; the sign bounds
+    stay in the units of cfg._den.  On compiled parity and Dyck 293 of
+    the 352 kernels have f = 4, the whole of their denominator, and
+    sum over den itself.  Each sum is written as its own gcd times
+    (±m ± m ...), where a coefficient of one is a plain add.  Both
+    together read 31 % more compiled-verify ops a second.  The kernel
+    keeps f as its factor attribute.
     """
     if any(type(v) is not int for v in x):
         return None
@@ -332,12 +361,7 @@ def _kernel(cfg, state, x):
             consts.setdefault(i, 0)
             terms.setdefault(i, []).append((w, f"m{n}"))
     read = {j for row in cfg._out_rows for j, _w in row}
-    lines = ["def kernel(s):"]
-    if live:
-        names = ", ".join(f"m{n}" for n in range(len(live)))
-        lines.append(f"    {names}, = s.nums.values()")
-    lines += ["    den = s.den", f"    one = {cfg._den} * den", "    nums = {}"]
-    emitted = set()
+    sums = []
     for i, c in consts.items():
         c += cfg._bias_map.get(i, 0)
         parts = ([(c, "den")] if c else []) + terms.get(i, [])
@@ -346,14 +370,25 @@ def _kernel(cfg, state, x):
         # lo * den when a positive weight reads a live cell
         hi = c + sum(w for w, m in parts if w > 0 and m != "den")
         lo = c + sum(w for w, m in parts if w < 0 and m != "den")
-        if hi <= 0:
-            continue
+        if hi > 0:
+            sums.append((i, c, lo, hi, parts))
+    f = math.gcd(cfg._den, *(w for _i, _c, lo, _hi, parts in sums if lo < cfg._den
+                             for w, _m in parts))
+    lines = ["def kernel(s):"]
+    if live:
+        names = ", ".join(f"m{n}" for n in range(len(live)))
+        lines.append(f"    {names}, = s.nums.values()")
+    lines += ["    den = s.den",
+              "    one = den" if f == cfg._den else f"    one = {cfg._den // f} * den",
+              "    nums = {}"]
+    emitted = set()
+    for i, c, lo, hi, parts in sums:
         emitted.add(i)
         v = f"v{i}"
         if lo >= cfg._den:
             lines.append(f"    nums[{i}] = {v} = one")
             continue
-        lines.append(f"    {v} = {' + '.join(f'{w} * {m}' for w, m in parts)}")
+        lines.append(f"    {v} = {_sum_expr([(w // f, m) for w, m in parts])}")
         store = f"nums[{i}] = {v}" + (f" = {v} if {v} < one else one"
                                        if hi > cfg._den else "")
         if lo > 0 or (lo == 0 and hi > c):
@@ -383,7 +418,23 @@ def _kernel(cfg, state, x):
     scope = {}
     exec(compile("\n".join(lines), "<step kernel>", "exec"), _KERNEL_GLOBALS, scope)
     cfg._kernels[live, x] = kern = scope["kernel"]
+    kern.factor = f
     return kern
+
+
+def _sum_expr(parts):
+    """The sum of w * m over parts as f * (m ± m ...) over the gcd f of
+    its weights, positive terms first (a written sum has one), a weight
+    of ±f a plain add."""
+    f = math.gcd(*(w for w, _m in parts))
+    expr = ""
+    for w, m in sorted(parts, key=lambda p: p[0] < 0):
+        term = m if abs(w) == f else f"{abs(w) // f} * {m}"
+        expr += (" - " if w < 0 else " + ") + term
+    expr = expr[3:]
+    if f == 1:
+        return expr
+    return f"{f} * {expr}" if len(parts) == 1 else f"{f} * ({expr})"
 
 
 def step(cfg, state, x):

@@ -204,6 +204,15 @@ def factor_cases(draw):
 @example((1 << 100, [1 << 100, 3 << 90]))
 @example((3 * 4 ** 40, [3 * 4 ** 40, 3 << 100]))
 @example((3 ** 50, [3 ** 50 * 5, 3 ** 49 << 70]))
+# one odd numerator among long even ones ends the search early
+@example((1 << 200, [6 << 150, 5 << 180, 21, 1 << 199]))
+@example((1 << 90, [3 << 100, 9]))
+# all numerators even, their lowest set bit below one's, then above it
+@example((1 << 120, [6 << 70, 10 << 80, 1 << 120]))
+@example((1 << 80, [3 << 100, 5 << 90]))
+# the analog bias denominator with an odd numerator
+@example((3 * 4 ** 40, [3 ** 4, 3 * 4 ** 40, 6 << 90]))
+@example((3 * 4 ** 40, [7, 3 << 100]))
 def test_common_factor_is_the_gcd(case):
     one, nums = case
     assert common_factor(one, *nums) == math.gcd(one, *nums)

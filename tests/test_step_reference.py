@@ -18,7 +18,7 @@ once one of its steps was long, runs a generated kernel.
 import itertools
 import math
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from exactrnn import augmented as aug
@@ -279,7 +279,7 @@ unit = st.fractions(min_value=0, max_value=1, max_denominator=12)
 
 
 @st.composite
-def sparse_configs(draw):
+def sparse_configs(draw, fracs=fracs):
     k = draw(st.integers(1, 6))
     n_in = draw(st.sampled_from((2, 3)))
     cells = st.integers(0, k - 1)
@@ -416,6 +416,38 @@ def test_state_keeps_live_cells_over_one_denominator():
     cut = s.truncated(2)
     assert (cut.den, cut.nums, cut.h) == (4, {2: 3, 3: 4}, (0, 0, R(3) / 4, 1))
     assert NetworkState(0, h).truncated(4).h == tuple(trunc_frac(v, 4) for v in h)
+
+
+@st.composite
+def cut_states(draw):
+    """(state, q) with state.den = den, since one cell holds 1/den; den
+    is a power of two above, at or below 2^q, or has an odd factor.
+    Small numerators cut to zero."""
+    q = draw(st.integers(0, 70))
+    den = draw(st.one_of(st.integers(0, 140).map(lambda e: 1 << e),
+                         st.just(12), st.integers(0, 80).map(lambda e: 3 << e)))
+    small = st.integers(0, min(4, den))
+    nums = draw(st.lists(st.one_of(small, st.integers(0, den)), max_size=5))
+    return NetworkState(7, [R(m) / den for m in nums] + [R(1) / den]), q
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut_states())
+@example((NetworkState(0, [R(5) / (1 << 40), R(1) / (1 << 40), 1]), 8))
+@example((NetworkState(0, [R(3) / 256, R(1) / 256]), 8))
+@example((NetworkState(0, [R(3) / 16, 1]), 8))
+@example((NetworkState(0, [R(11) / 12, R(1) / 12]), 3))
+@example((NetworkState(0, [R(7) / (3 << 30), R(1) / (3 << 30)]), 20))
+def test_truncated_state_cuts_every_cell_like_trunc_frac(case):
+    state, q = case
+    cut = state.truncated(q)
+    assert cut.t == state.t
+    assert cut.h == tuple(trunc_frac(v, q) for v in state.h)
+    assert all(cut.nums.values())               # cells cut to zero drop out
+    if (1 << q) % state.den == 0:
+        assert cut is state
+    else:
+        assert cut.den == 1 << q
 
 
 # -------------------------------------------------------- interval runs
@@ -566,6 +598,36 @@ def test_kernels_match_reference_on_random_rational_configs(hot, cfg, data):
     xs = data.draw(st.lists(st.tuples(*[st.integers(0, 1)] * cfg.n_in),
                             max_size=10))
     assert_steps_agree(cfg, xs)
+
+
+def over_one_denominator(d):
+    """Weights k/d, about half of them integers."""
+    return st.one_of(st.integers(-2, 2).map(lambda n: n * d),
+                     st.integers(-2 * d, 2 * d)).map(lambda n: R(n) / d)
+
+
+# every weight of a config over one d, so that the factor a kernel takes
+# out of its sums is 1, the config's denominator or a divisor between
+shared_denominator_configs = st.sampled_from((2, 4, 6, 8, 12)).flatmap(
+    lambda d: sparse_configs(over_one_denominator(d)))
+
+
+def test_kernels_match_reference_at_every_pattern_factor(hot):
+    factors = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(shared_denominator_configs, st.data())
+    def check(cfg, data):
+        xs = data.draw(st.lists(st.tuples(*[st.integers(0, 1)] * cfg.n_in),
+                                max_size=10))
+        hot.clear()
+        assert_steps_agree(cfg, xs)
+        factors.update((kern.factor, cfg._den) for kern in hot)
+
+    check()
+    assert any(f == 1 for f, _d in factors)
+    assert any(f == d > 1 for f, d in factors)
+    assert any(1 < f < d for f, d in factors)
 
 
 def test_kernels_run_the_truncated_loops_like_reference(hot):

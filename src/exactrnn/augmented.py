@@ -123,6 +123,8 @@ class EnnSpec:
     def __post_init__(self):
         if self.base.n_in != 2:
             raise ValueError("evolving networks need exactly two input lines")
+        if self.base.k < 1:
+            raise ValueError("evolving networks need cell 0 for the evolving bit")
 
     def to_json(self):
         return {"type": "enn", "base": self.base.to_json(),

@@ -4,8 +4,12 @@ and advice machines over binary stacks that the compiler turns into
 networks.
 
 These run everything symbolically and serve as the ground truth that
-network simulations are checked against.  Conventions shared by all of
-them:
+network simulations are checked against.  One tape loop, _tape_loop,
+steps tm_run, tma_run and ptm_run_with_choices, and one lookup, _rule,
+finds every tape rule or sticks the machine.  The advice wildcard "*"
+is resolved once, when a TmaSpec is built, into its table of concrete
+keys (TmaSpec.rules) that the loop and the stack rewrite both read.
+Conventions shared by all of them:
 
 * tape alphabet is {0, 1, _} with "_" the blank,
 * tapes are one-way infinite; moving left at cell 0 is a hard error
@@ -109,7 +113,9 @@ class TmaSpec:
     """Two-tape advice machine: trans maps (state, main symbol, advice
     symbol) to (written main symbol, main move, advice move, next).
     The advice tape is read-only; "*" in the advice position of a key
-    matches any advice symbol (specific keys win)."""
+    matches any advice symbol (specific keys win).  trans stays as
+    written; rules is the same map with "*" resolved into the concrete
+    advice symbols it covers."""
 
     def __init__(self, trans, initial):
         for key, rule in trans.items():
@@ -117,6 +123,9 @@ class TmaSpec:
         _check_initial(initial, {q for q, _a, _s in trans})
         self.trans = dict(trans)
         self.initial = initial
+        self.rules = {(q, a, b): rule for (q, a, s), rule in trans.items()
+                      if s == "*" for b in SYMBOLS}
+        self.rules.update((k, r) for k, r in trans.items() if k[2] != "*")
 
     def to_json(self):
         return {
@@ -184,21 +193,40 @@ def _apply_write_move(tape, head, write, move):
     return head
 
 
-def _tape_loop(initial, w, pick, bound):
-    """Shared tape loop: pick(steps) gives the transition map of the
-    next step.  Returns (Decision, steps)."""
+def _rule(trans, key):
+    """The rule of trans at key, a (state, symbol[, advice symbol])
+    tuple; a missing rule sticks the machine."""
+    rule = trans.get(key)
+    if rule is None:
+        raise MachineStuck(f"no rule for ({', '.join(key)})")
+    return rule
+
+
+def _tape_loop(initial, w, pick, bound, advice=None):
+    """The one tape loop: pick(steps) gives the rule table of the next
+    step.  A plain machine (advice None) keys its rules (state, symbol)
+    and never moves the advice head; an advice machine keys them
+    (state, symbol, advice symbol), reading "_" past the end of the
+    advice word, and moves that head after the main one.  Returns
+    (Decision, steps)."""
     check_bitword(w)
     tape = _tape_of(w)
-    state, head, steps = initial, 0, 0
+    state, head, ahead, steps, amove = initial, 0, 0, 0, "S"
     while steps < bound and state not in TERMINALS:
-        trans = pick(steps)
         sym = tape.get(head, BLANK)
-        rule = trans.get((state, sym))
-        if rule is None:
-            raise MachineStuck(f"no rule for ({state}, {sym})")
-        write, move, state = rule
+        if advice is None:
+            write, move, state = _rule(pick(steps), (state, sym))
+        else:
+            asym = advice[ahead] if ahead < len(advice) else BLANK
+            write, move, amove, state = _rule(pick(steps), (state, sym, asym))
         steps += 1
         head = _apply_write_move(tape, head, write, move)
+        if amove == "L":
+            if ahead == 0:
+                raise PreconditionViolated("advice head moved left at edge")
+            ahead -= 1
+        elif amove == "R":
+            ahead += 1
     if state in TERMINALS:
         return Decision(state, tau=steps), steps
     return Decision("timeout"), steps
@@ -230,30 +258,6 @@ def advice_from_stream(r, f):
     return Advice(size=f, word=lambda n: r.prefix(f(n)))
 
 
-def _tma_once(m, adv_word, w, bound):
-    check_bitword(w)
-    tape = _tape_of(w)
-    head, ahead, state, steps = 0, 0, m.initial, 0
-    while steps < bound and state not in TERMINALS:
-        sym = tape.get(head, BLANK)
-        asym = adv_word[ahead] if ahead < len(adv_word) else BLANK
-        rule = m.trans.get((state, sym, asym)) or m.trans.get((state, sym, "*"))
-        if rule is None:
-            raise MachineStuck(f"no rule for ({state}, {sym}, {asym})")
-        write, move, amove, state = rule
-        steps += 1
-        head = _apply_write_move(tape, head, write, move)
-        if amove == "L":
-            if ahead == 0:
-                raise PreconditionViolated("advice head moved left at edge")
-            ahead -= 1
-        elif amove == "R":
-            ahead += 1
-    if state in TERMINALS:
-        return Decision(state, tau=steps)
-    return Decision("timeout")
-
-
 def tma_run(m, a, w, bound, verify_lengths=None):
     """Advice-machine run on w with advice a(|w|).
 
@@ -262,11 +266,15 @@ def tma_run(m, a, w, bound, verify_lengths=None):
     soundness condition advice families must satisfy for length
     upgrades to be harmless).
     """
-    base = _tma_once(m, a(len(w)), w, bound)
+    def once(advice):
+        return _tape_loop(m.initial, w, lambda _steps: m.rules, bound,
+                          advice)[0]
+
+    base = once(a(len(w)))
     for n2 in verify_lengths or ():
         if n2 < len(w):
             continue
-        other = _tma_once(m, a(n2), w, bound)
+        other = once(a(n2))
         if other.kind != base.kind:
             raise ConsistencyViolation(
                 f"decision on {w!r} flips between advice({len(w)}) "
@@ -425,9 +433,7 @@ def stack_run(m, w, bound, init_stacks=None, want_trace=False):
         stacks[s] = content
     pos, state, steps = 0, m.initial, 0
     trace = [] if want_trace else None
-    while steps < bound:
-        if state in TERMINALS:
-            return Decision(state, tau=steps, trace=trace)
+    while steps < bound and state not in TERMINALS:
         status = w[pos] if pos < len(w) else "end"
         hit = None
         for row in m.rows_by_state.get(state, ()):
@@ -454,8 +460,8 @@ def stack_run(m, w, bound, init_stacks=None, want_trace=False):
         state = hit.next_state
         if want_trace:
             trace.append((steps, state, dict(stacks)))
-        if state in TERMINALS:
-            return Decision(state, tau=steps, trace=trace)
+    if state in TERMINALS:
+        return Decision(state, tau=steps, trace=trace)
     return Decision("timeout", trace=trace)
 
 
@@ -550,22 +556,6 @@ def _main_rule_rows(state, read, write, move, nxt, mids, obs=None, ops=None):
 # advice machine -> stack program, analog flavor and replay flavor
 
 
-def _expand_advice(m):
-    """Concrete (state, main, advice) -> rule table with wildcards
-    resolved, plus the keys that were written out explicitly; advice
-    symbol "_" stands for the region past the end."""
-    table, explicit = {}, set()
-    for (q, a, adv), rule in m.trans.items():
-        if adv != "*":
-            table[(q, a, adv)] = rule
-            explicit.add((q, a, adv))
-    for (q, a, adv), rule in m.trans.items():
-        if adv == "*":
-            for b in ("0", "1", BLANK):
-                table.setdefault((q, a, b), rule)
-    return table, explicit
-
-
 def _drain_rows(state, stack, nxt, into=None, extra=None):
     """Pop a stack empty, optionally re-pushing each bit elsewhere."""
     rows = []
@@ -592,9 +582,8 @@ def _tma_rows(m, fetch_stack, on_underflow):
     dispatch for the analog flavor, the replay rebuild for the
     evolving one.
     """
-    table, explicit = _expand_advice(m)
     rows = []
-    states = sorted({q for (q, _a, _b) in table})
+    states = sorted({q for (q, _a, _b) in m.rules})
 
     def tgt(q):
         return q if q in TERMINALS else f"e_{q}"
@@ -611,13 +600,13 @@ def _tma_rows(m, fetch_stack, on_underflow):
             Row(f"e_{q}", None, {"AR": "1"}, {}, f"d_{q}"),
         ]
 
-    for i, ((q, a, adv), (wr, mv, amv, q2)) in enumerate(sorted(table.items())):
+    for i, ((q, a, adv), (wr, mv, amv, q2)) in enumerate(sorted(m.rules.items())):
         _check_main_rule(q, a, wr, mv)
         if adv == BLANK:
             if on_underflow:
                 continue            # replay flavor: advice never ends
             if amv == "R":
-                if (q, a, adv) not in explicit:
+                if (q, a, adv) not in m.trans:
                     continue        # wildcard spillover; stuck if reached
                 raise PreconditionViolated(
                     f"rule at ({q},{a},_) walks right past the advice end")
@@ -688,13 +677,6 @@ def tma_to_stack_replay(m):
 # probabilistic runs
 
 
-def _ptm_rule(trans, state, sym):
-    rule = trans.get((state, sym))
-    if rule is None:
-        raise MachineStuck(f"no rule for ({state}, {sym})")
-    return tuple(rule)
-
-
 def _ptm_branch(rule, tape, head, steps, prob):
     write, move, nxt = rule
     return nxt, tape, _apply_write_move(tape, head, write, move), steps, prob
@@ -722,15 +704,14 @@ def ptm_run_exact(m, w, bound, budget=10 ** 6):
             continue
         if steps >= bound:
             raise Timeout(f"branch still live after {bound} steps")
-        sym = tape.get(head, BLANK)
-        rule0 = _ptm_rule(m.trans0, state, sym)
-        if tuple(m.trans1.get((state, sym), ())) == rule0:
+        key = (state, tape.get(head, BLANK))
+        rule0 = tuple(_rule(m.trans0, key))
+        if tuple(m.trans1.get(key, ())) == rule0:
             pending.append(_ptm_branch(rule0, tape, head, steps + 1, prob))
             continue
         half = prob / 2
         succ0 = _ptm_branch(rule0, dict(tape), head, steps + 1, half)
-        succ1 = _ptm_branch(_ptm_rule(m.trans1, state, sym), tape, head,
-                            steps + 1, half)
+        succ1 = _ptm_branch(_rule(m.trans1, key), tape, head, steps + 1, half)
         splits += 1
         if splits > budget:
             raise BudgetExceeded(f"more than {budget} branch splits")

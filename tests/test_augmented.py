@@ -324,6 +324,16 @@ def test_evolving_lift_rejects_three_input_bases():
         enn_run(e, "", 4)
 
 
+def test_evolving_base_needs_cell_0():
+    # the evolving bit enters cell 0: a base without it is refused when
+    # the spec is built, not when a run lifts the base
+    with pytest.raises(ValueError, match="cell 0"):
+        EnnSpec(base=RnnConfig(k=0, w_in={}, w_res={}, w_out={}),
+                evolving_bias=half_stream())
+    assert EnnSpec(base=RnnConfig(k=1, w_in={}, w_res={}, w_out={}),
+                   evolving_bias=half_stream())
+
+
 # ------------------------------------------------- transform entry checks
 
 

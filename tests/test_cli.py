@@ -446,6 +446,19 @@ def test_verify_evolving_pair(tmp_path):
     assert rc == 0 and recs[-1]["mismatches"] == 0
 
 
+def test_verify_refuses_an_evolving_net_without_cell_0(tmp_path, capsys):
+    m = advice_eater_tma()
+    d = enn_from_tma(m, eater_stream(8)).to_json()
+    d["base"] = {"k": 0, "n_in": 2, "w_in": [], "w_res": [], "w_out": [],
+                 "h0": []}
+    ep = write_json(tmp_path / "bad.enn", d)
+    mp = write_json(tmp_path / "eat.tma", m.to_json())
+    cp = write_corpus(tmp_path / "c.txt", ["", "0", "1", "01"])
+    assert main(["verify", mp, ep, "--corpus", cp, "--max-steps", "50",
+                 "--out", str(tmp_path / "r.jsonl")]) == 2
+    assert_one_error(capsys, "cell 0")
+
+
 # ------------------------------------------------------- stochastic suite
 
 @pytest.fixture

@@ -38,6 +38,7 @@ from exactrnn.machines import (
     tma_to_stack,
     tma_to_stack_replay,
 )
+from exactrnn.network import Decision
 from exactrnn.words import BitStream, as_rat, words_of_length
 from exactrnn.zoo import advice_eater_tma
 
@@ -233,6 +234,16 @@ def test_stack_run_timeout():
     rows = [Row("s", None, {}, {"S": "push0"}, "s")]
     m = StackMachineSpec(stacks=("S",), rows=rows, initial="s")
     assert stack_run(m, "", 25).kind == "timeout"
+
+
+def test_stack_run_decides_at_once_in_a_terminal_initial_state():
+    # as the tape loop does, at every bound, a zero bound included: no
+    # row is read and tau is 0
+    m = StackMachineSpec(stacks=("S",), rows=[], initial="reject")
+    tm = TmSpec({("q", "0"): ("0", "R", "q")}, "reject")
+    for bound in (0, 5):
+        for d in (stack_run(m, "01", bound), tm_run(tm, "01", bound)):
+            assert (d.kind, d.tau) == ("reject", 0)
 
 
 # ---------------------------------------------------------- tape to stacks
@@ -506,6 +517,112 @@ def outcome(fn, *args):
 def test_ptm_exact_matches_the_configuration_split(m, w, budget):
     assert outcome(ptm_run_exact, m, w, 8, budget) == \
         outcome(reference_ptm_run_exact, m, w, 8, budget)
+
+
+# ------------------------------------------------- one tape loop, two kinds
+
+
+def reference_tape_loop(initial, w, pick, bound):
+    """The plain tape loop as it was before it took an advice head:
+    tm_run and ptm_run_with_choices stepped through it."""
+    tape = _tape_of(w)
+    state, head, steps = initial, 0, 0
+    while steps < bound and state not in ("accept", "reject"):
+        trans = pick(steps)
+        sym = tape.get(head, BLANK)
+        rule = trans.get((state, sym))
+        if rule is None:
+            raise MachineStuck(f"no rule for ({state}, {sym})")
+        write, move, state = rule
+        steps += 1
+        head = _apply_write_move(tape, head, write, move)
+    if state in ("accept", "reject"):
+        return Decision(state, tau=steps), steps
+    return Decision("timeout"), steps
+
+
+def reference_tma_once(m, adv_word, w, bound):
+    """The advice loop as it was before it was folded into the plain
+    one: its own copy of the loop, "*" looked up at every step."""
+    tape = _tape_of(w)
+    head, ahead, state, steps = 0, 0, m.initial, 0
+    while steps < bound and state not in ("accept", "reject"):
+        sym = tape.get(head, BLANK)
+        asym = adv_word[ahead] if ahead < len(adv_word) else BLANK
+        rule = m.trans.get((state, sym, asym)) or m.trans.get((state, sym, "*"))
+        if rule is None:
+            raise MachineStuck(f"no rule for ({state}, {sym}, {asym})")
+        write, move, amove, state = rule
+        steps += 1
+        head = _apply_write_move(tape, head, write, move)
+        if amove == "L":
+            if ahead == 0:
+                raise PreconditionViolated("advice head moved left at edge")
+            ahead -= 1
+        elif amove == "R":
+            ahead += 1
+    if state in ("accept", "reject"):
+        return Decision(state, tau=steps)
+    return Decision("timeout")
+
+
+TAPE_STATES = ("a", "b", "c")
+TAPE_BOUND = 14
+WORDS_5 = [w for n in range(6) for w in words_of_length(n)]
+ADVICE_4 = [w for n in range(5) for w in words_of_length(n)]
+# Hypothesis leans toward the first entry of each list: a right move,
+# a working state, a "*" rule
+tape_moves = st.sampled_from("RSL")
+tape_rules = st.tuples(st.sampled_from("01_"), tape_moves,
+                       st.sampled_from(TAPE_STATES + ("accept", "reject")))
+advice_keys = st.sampled_from([("*",), ("*", "0"), ("*", "1"), ("*", "_"),
+                               ("0", "1", "_"), ("0", "1"), ("_",), ()])
+
+
+@st.composite
+def tape_machines(draw, advice=False):
+    """Small plain or advice tape machines.  A rule is missing here and
+    there, and head moves are free, so runs stick, halt, time out and
+    walk off either tape's left edge.  On an advice machine each
+    (state, symbol) pair has a "*" rule, rules for specific advice
+    symbols, both or none.  The run starts in state a, or halts at once
+    where a has no rule."""
+    trans = {}
+    for q in TAPE_STATES:
+        for a in "01_":
+            if advice:
+                for s in draw(advice_keys):
+                    write, move, nxt = draw(tape_rules)
+                    trans[(q, a, s)] = (write, move, draw(tape_moves), nxt)
+            elif draw(st.integers(min_value=0, max_value=4)) < 4:
+                trans[(q, a)] = draw(tape_rules)
+    initial = "a" if any(key[0] == "a" for key in trans) else "accept"
+    return (TmaSpec if advice else TmSpec)(trans, initial)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tape_machines(), tape_machines(),
+       st.lists(st.integers(min_value=0, max_value=1),
+                min_size=TAPE_BOUND, max_size=TAPE_BOUND))
+def test_plain_runs_match_the_reference_loop(m0, m1, choices):
+    ptm = PtmSpec(trans0=m0.trans, trans1=m1.trans, initial=m0.initial)
+    for w in WORDS_5:
+        assert outcome(tm_run, m0, w, TAPE_BOUND) == outcome(
+            lambda: reference_tape_loop(m0.initial, w, lambda _s: m0.trans,
+                                        TAPE_BOUND)[0]), w
+        assert outcome(ptm_run_with_choices, ptm, w, choices,
+                       TAPE_BOUND) == outcome(
+            reference_tape_loop, m0.initial, w,
+            lambda s: m1.trans if choices[s] else m0.trans, TAPE_BOUND), w
+
+
+@settings(max_examples=100, deadline=None)
+@given(tape_machines(advice=True))
+def test_advice_runs_match_the_reference_loop(m):
+    for adv in ADVICE_4:
+        for w in WORDS_5:
+            assert outcome(tma_run, m, lambda _n: adv, w, TAPE_BOUND) == \
+                outcome(reference_tma_once, m, adv, w, TAPE_BOUND), (adv, w)
 
 
 def test_ptm_with_choices():

@@ -625,6 +625,13 @@ def test_kernels_match_reference_at_every_pattern_factor(hot):
         factors.update((kern.factor, cfg._den) for kern in hot)
 
     check()
+    # the draws above meet a factor strictly between 1 and d in about
+    # three seeds of four; this step from zeros sums cell 0's bias
+    # alone, 2/4, so f = 2 on d = 4 whatever they met
+    hot.clear()
+    cfg = RnnConfig(k=2, w_in={(0, 2): R(1) / 2}, w_res={(1, 0): R(1) / 4})
+    assert_steps_agree(cfg, [(0, 0)] * 3)
+    factors.update((kern.factor, cfg._den) for kern in hot)
     assert any(f == 1 for f, _d in factors)
     assert any(f == d > 1 for f, d in factors)
     assert any(1 < f < d for f, d in factors)

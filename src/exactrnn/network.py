@@ -39,13 +39,33 @@ meets each of its patterns a few times at most.  A net whose third
 input line (coins) drives its live cells and whose steps stay short,
 such as majority of three, never turns hot.
 
+Once a word has ended, the input is (0,0) and a hot compiled step is a
+few integer adds, so the NetworkState, the dict, the lowest terms and
+the pattern key that step builds around them cost more than the adds.
+An untraced run_word of a hot config with two input lines therefore
+notes, for each silent pattern it steps, the live cells the step
+reaches, and a silent pattern with such successors gets a chain kernel
+in place of a step kernel: it takes the shared denominator and the
+live numerators as ints and returns the successor pattern with the
+next ones.  run_word hands the ints from kernel to kernel for the rest
+of the word and builds a state only where the chain stops: where an
+output line would fire, where the step reaches live cells the pattern
+has not been seen to reach (the run notes them and rebuilds the
+kernel), or at the step budget.  step runs a pattern with a chain
+kernel through it, so no pattern holds two kernels.  A silent pattern
+without successors keeps its step kernel until run_word steps it: those
+of interval nets, truncated copies and nets with a third line, and
+those a compiled net meets only in truncated runs or at a spike.
+
 Word I/O protocol: bit i of the word arrives as x_0 = w_i with
 validation x_1 = 1, input then goes silent (0,0).  The network answers
 with a single spike y_1 = 1 whose companion bit y_0 carries
 accept/reject; output must be (0,0) strictly before that.  ``drive``
 runs that protocol over any one-step semantics: the exact ``step`` of
 ``run_word``, and the truncated step and the interval readout that
-``augmented`` puts around ``step``.
+``augmented`` puts around ``step``; an untraced ``run_word`` of a net
+with two input lines runs it in ``_chained``, with the same rule
+(``_outcome``).
 """
 
 import math
@@ -146,6 +166,10 @@ class RnnConfig:
         self._cold_steps = 0
         self._kernels = None
         self._sightings = None
+        # the silent patterns run_word has stepped on a hot config, by
+        # live cells, with their successors and chain kernels (see
+        # run_word); immutable as above
+        self._chains = {}
 
     def readout(self, state):
         """Output pair theta(W_out h) of a state."""
@@ -310,9 +334,12 @@ _SIGHTINGS = 16
 _MAX_KERNELS = 512
 
 
-_KERNEL_GLOBALS = {"gcd": math.gcd, "common_factor": common_factor,
-                   "LONG": _LONG, "state": NetworkState._sparse,
-                   "theta": theta, "Rat": Rat}
+# the input of every step after the word
+_SILENT = (0, 0)
+
+# the silent input of a step a chain kernel declined: as a list, step
+# takes it through the interpreted loop without trying a kernel again
+_DECLINED = [0, 0]
 
 
 def _kernel(cfg, state, x):
@@ -346,6 +373,10 @@ def _kernel(cfg, state, x):
     (±m ± m ...), where a coefficient of one is a plain add.  Both
     together read 31 % more compiled-verify ops a second.  The kernel
     keeps f as its factor attribute.
+
+    For input (0, 0), a pattern that run_word has seen step to a
+    successor gets its chain kernel instead, and the step form of that
+    is returned (see _chain_kernel).
     """
     if any(type(v) is not int for v in x):
         return None
@@ -360,7 +391,6 @@ def _kernel(cfg, state, x):
         for i, w in cfg._res_by_col.get(j, ()):
             consts.setdefault(i, 0)
             terms.setdefault(i, []).append((w, f"m{n}"))
-    read = {j for row in cfg._out_rows for j, _w in row}
     sums = []
     for i, c in consts.items():
         c += cfg._bias_map.get(i, 0)
@@ -374,29 +404,16 @@ def _kernel(cfg, state, x):
             sums.append((i, c, lo, hi, parts))
     f = math.gcd(cfg._den, *(w for _i, _c, lo, _hi, parts in sums if lo < cfg._den
                              for w, _m in parts))
+    pat = cfg._chains.get(live) if x == _SILENT else None
+    if pat is not None and pat.succ:
+        return _chain_kernel(cfg, pat, sums, f)
     lines = ["def kernel(s):"]
     if live:
         names = ", ".join(f"m{n}" for n in range(len(live)))
         lines.append(f"    {names}, = s.nums.values()")
-    lines += ["    den = s.den",
-              "    one = den" if f == cfg._den else f"    one = {cfg._den // f} * den",
-              "    nums = {}"]
-    emitted = set()
-    for i, c, lo, hi, parts in sums:
-        emitted.add(i)
-        v = f"v{i}"
-        if lo >= cfg._den:
-            lines.append(f"    nums[{i}] = {v} = one")
-            continue
-        lines.append(f"    {v} = {_sum_expr([(w // f, m) for w, m in parts])}")
-        store = f"nums[{i}] = {v}" + (f" = {v} if {v} < one else one"
-                                       if hi > cfg._den else "")
-        if lo > 0 or (lo == 0 and hi > c):
-            lines.append(f"    {store}")
-        else:
-            lines += [f"    if {v} > 0:", f"        {store}"]
-            if i in read:
-                lines += ["    else:", f"        {v} = 0"]
+    lines += ["    den = s.den", "    nums = {}"]
+    lines += _sum_lines(cfg, sums, f, "    ", keep=True)[0]
+    emitted = {i for i, *_rest in sums}
     ys = []
     for r, row in enumerate(cfg._out_rows):
         parts = [f"{w} * v{j}" for j, w in row if j in emitted]
@@ -407,19 +424,165 @@ def _kernel(cfg, state, x):
                   f"    y{r} = 0 if r{r} <= 0 else 1 if r{r} >= {cfg._den} * one "
                   f"else theta(Rat(r{r}, {cfg._den} * one))"]
         ys.append(f"y{r}")
-    # lowest terms as step takes them, dividing in place: a comprehension
-    # would compile to a code object of its own, 0.5 KB in every kernel
-    lines += ["    g = (gcd if one < LONG else common_factor)(one, *nums.values())",
-              "    if g > 1:",
-              "        one //= g",
-              "        for i in nums:",
-              "            nums[i] //= g",
-              f"    return state(s.t + 1, {cfg.k}, one, nums), ({ys[0]}, {ys[1]})"]
+    lines.append(f"    return reduced(s.t + 1, {cfg.k}, one, nums), ({ys[0]}, {ys[1]})")
     scope = {}
     exec(compile("\n".join(lines), "<step kernel>", "exec"), _KERNEL_GLOBALS, scope)
     cfg._kernels[live, x] = kern = scope["kernel"]
     kern.factor = f
     return kern
+
+
+def _sum_lines(cfg, sums, f, indent, keep):
+    """The lines of a kernel body, at indent, that set one to cfg._den /
+    f times den and v{i} to each of the sums (see _kernel): clamped to
+    one, zeroed where the readout reads a sum that may not pass 0, and,
+    when keep is set, stored as nums[i] where the sum passes 0.
+    Returns the lines and the cells whose sums may not pass 0."""
+    read = {j for row in cfg._out_rows for j, _w in row}
+    lines = [indent + ("one = den" if f == cfg._den else f"one = {cfg._den // f} * den")]
+    maybe = []
+    for i, c, lo, hi, parts in sums:
+        v = f"v{i}"
+        put = f"nums[{i}] = {v}" if keep else v
+        if lo >= cfg._den:
+            lines.append(f"{indent}{put} = one")
+            continue
+        lines.append(f"{indent}{v} = {_sum_expr([(w // f, m) for w, m in parts])}")
+        if hi > cfg._den:
+            put += f" = {v} if {v} < one else one"
+        elif not keep:
+            put = None
+        if lo > 0 or (lo == 0 and hi > c):      # always passes 0
+            if put:
+                lines.append(indent + put)
+            continue
+        maybe.append(i)
+        if put:
+            lines += [f"{indent}if {v} > 0:", f"{indent}    {put}"]
+            if i in read:
+                lines += [f"{indent}else:", f"{indent}    {v} = 0"]
+        elif i in read:
+            lines += [f"{indent}if {v} < 0:", f"{indent}    {v} = 0"]
+    return lines, maybe
+
+
+def _chain_kernel(cfg, pat, sums, f):
+    """The chain kernel of cfg's silent pattern pat, built from the sums
+    of _kernel and kept on pat; returns pat's step.
+
+    The kernel takes (den, m0, m1, ...) and returns (successor pattern,
+    one, v...), the next numerators over one in the successor's order,
+    or None when an output sum can pass 0 (the step would fire, or
+    raise) or the next live cells are none of the successors the
+    pattern has been seen to reach.  It brings its return to lowest
+    terms only when f is not the whole of cfg._den: otherwise one is
+    den and the numerators stay as short as they came, and the state
+    built where the chain stops takes lowest terms (_Chain.state).
+    Scaling one and every numerator by the same factor moves no sign
+    bound, no clamp and no output test.
+    """
+    succ = ", ".join(f"p{n}" for n in range(len(pat.succ)))
+    args = "".join(f", m{n}" for n in range(len(pat.live)))
+    body, maybe = _sum_lines(cfg, sums, f, "        ", keep=False)
+    lines = [f"def make({succ}):", f"    def kernel(den{args}):"] + body
+    emitted = {i for i, *_rest in sums}
+    for row in cfg._out_rows:
+        parts = [(w, f"v{j}") for j, w in row if j in emitted]
+        if any(w > 0 for w, _v in parts):
+            g = math.gcd(*(w for w, _v in parts))
+            lines += [f"        if {_sum_expr([(w // g, v) for w, v in parts])} > 0:",
+                      "            return None"]
+    for n, nxt in enumerate(pat.succ):
+        test = " and ".join(f"v{i} > 0" if i in nxt else f"v{i} <= 0" for i in maybe)
+        indent = "            " if test else "        "
+        if test:
+            lines.append(f"        if {test}:")
+        vals = "".join(f", v{i}" for i in nxt)
+        if f == cfg._den:
+            lines.append(f"{indent}return p{n}, one{vals}")
+        else:
+            lines += [f"{indent}g = (gcd if one < LONG else common_factor)(one{vals})",
+                      f"{indent}return p{n}, one // g"
+                      + "".join(f", v{i} // g" for i in nxt)]
+    lines.append("    return kernel")
+    scope = {}
+    exec(compile("\n".join(lines), "<chain kernel>", "exec"), _KERNEL_GLOBALS, scope)
+    pat.kernel = scope["make"](*(_pattern(cfg._chains, nxt) for nxt in pat.succ))
+    cfg._kernels[pat.live, _SILENT] = pat.step
+    return pat.step
+
+
+def _pattern(chains, live):
+    """The _Chain of the silent pattern live, made on first use."""
+    pat = chains.get(live)
+    if pat is None:
+        pat = chains[live] = _Chain(live)
+    return pat
+
+
+class _Chain:
+    """A silent pattern that run_word has stepped on a hot config: its
+    live cells, the live cells of every successor it has been seen to
+    step to, and its chain kernel once built (None before)."""
+
+    __slots__ = ("live", "succ", "kernel")
+
+    def __init__(self, live):
+        self.live, self.succ, self.kernel = live, [], None
+
+    def state(self, t, k, one, *nums):
+        """The state at step t with these numerators over one."""
+        return _reduced(t, k, one, dict(zip(self.live, nums)))
+
+    def step(self, s):
+        """step's form of the kernel: (next state, (0, 0)), or None
+        where the chain would stop."""
+        r = self.kernel(s.den, *s.nums.values())
+        if r is not None:
+            return r[0].state(s.t + 1, s.k, *r[1:]), _SILENT
+
+    def run(self, s, stop):
+        """Chain the kernels from state s, at most up to step stop: the
+        state where the chain stops (s itself if it took no step) and its
+        pattern, whose kernel declined the next step if it has one."""
+        pat, kern = self, self.kernel
+        args = (s.den, *s.nums.values())
+        t = s.t
+        while t < stop:
+            r = kern(*args)
+            if r is None:
+                break
+            t += 1
+            pat = r[0]
+            args = r[1:]
+            kern = pat.kernel
+            if kern is None:
+                break
+        if t == s.t:
+            return s, self
+        return pat.state(t, s.k, *args), pat
+
+
+def _reduced(t, k, one, nums):
+    """The state at step t whose cells are nums over one, brought to
+    lowest terms in place: math.gcd below 2^64, common_factor from there
+    on.  step, the step kernels and the chains build their states here.
+    A loop divides, not a comprehension, which would compile to a code
+    object of its own, and the state is made here, not by a call of
+    _sparse, which would cost a cold step 1 % more."""
+    g = (math.gcd if one < _LONG else common_factor)(one, *nums.values())
+    if g > 1:
+        one //= g
+        for i in nums:
+            nums[i] //= g
+    state = NetworkState.__new__(NetworkState)
+    state.t, state.k, state.den, state.nums, state._h = t, k, one, nums, None
+    return state
+
+
+_KERNEL_GLOBALS = {"gcd": math.gcd, "common_factor": common_factor,
+                   "LONG": _LONG, "reduced": _reduced,
+                   "theta": theta, "Rat": Rat}
 
 
 def _sum_expr(parts):
@@ -460,7 +623,10 @@ def step(cfg, state, x):
     (see _kernel) and the count dropped, unless the config keeps
     _MAX_KERNELS already or x is not a tuple of ints.  A cold config
     counts no pattern, so that a one-shot command pays one counter a
-    step and builds nothing.
+    step and builds nothing.  A chain kernel (see run_word) returns None
+    where its chain would stop, and the step then takes the loop.  An
+    input that is not a tuple takes the loop at once, with no lookup and
+    no count (_chained hands over the step a chain kernel declined so).
     """
     if len(x) != cfg.n_in:
         raise ValueError(f"expected {cfg.n_in} input lines, got {len(x)}")
@@ -484,7 +650,9 @@ def step(cfg, state, x):
                 if kern:
                     del seen[key]
         if kern:
-            return kern(state)
+            out = kern(state)
+            if out:
+                return out
     res = cfg._res_by_col
     bias = cfg._bias_map
     acc = dict.fromkeys(cfg._pos_bias, 0)
@@ -506,12 +674,7 @@ def step(cfg, state, x):
             v += b * den
         if v > 0:
             nums[i] = v if v < one else one
-    g = (math.gcd if one < _LONG else common_factor)(one, *nums.values())
-    if g > 1:
-        one //= g
-        for i in nums:
-            nums[i] //= g
-    nxt = NetworkState._sparse(state.t + 1, cfg.k, one, nums)
+    nxt = _reduced(state.t + 1, cfg.k, one, nums)
     return nxt, cfg.readout(nxt)
 
 
@@ -552,17 +715,81 @@ def drive(advance, ctx, state, w, max_steps, n_in, x2=None, trace=None):
         state, y = advance(ctx, state, input_at(w, t, n_in, x2))
         if trace is not None:
             trace.append((t + 1, state.h, y))
-        if y[1] == 1:
-            kind = "accept" if y[0] == 1 else "reject"
-            return Decision(kind, tau=t + 1, trace=trace)
-        if y[0] != 0:
-            raise ProtocolViolation(
-                f"output bit fired without validation at t={t + 1}")
+        if y[0] or y[1]:
+            return _outcome(y, t + 1, trace)
     return Decision("timeout", trace=trace)
+
+
+def _outcome(y, tau, trace=None):
+    """The end of a run whose output pair y at step tau is not (0, 0):
+    the spike's decision, or ProtocolViolation for a bare data bit."""
+    if y[1] == 1:
+        return Decision("accept" if y[0] == 1 else "reject", tau=tau, trace=trace)
+    raise ProtocolViolation(f"output bit fired without validation at t={tau}")
 
 
 def run_word(cfg, w, max_steps, want_trace=False, x2=None):
     """Exact protocol run of cfg on w (see drive); the Decision holds
-    the trace [(t, h, y), ...] when want_trace is set."""
-    return drive(step, cfg, cfg._start, w, max_steps, cfg.n_in, x2,
-                 [] if want_trace else None)
+    the trace [(t, h, y), ...] when want_trace is set.
+
+    An untraced run of a config with two input lines goes through
+    _chained, which chains the kernels of the silent phase once the
+    config is hot (see the module docstring).  A traced run and a run of
+    a config with a third line take drive's loop.
+    """
+    if want_trace or cfg.n_in != 2:
+        return drive(step, cfg, cfg._start, w, max_steps, cfg.n_in, x2,
+                     [] if want_trace else None)
+    return _chained(cfg, w, max_steps)
+
+
+def _chained(cfg, w, max_steps):
+    """run_word of a config with two input lines, untraced.
+
+    Every step of a cold config goes through step, and so does the
+    word.  On a hot config, after the word, a state whose pattern has a
+    chain kernel hands its numerators to it, and each kernel's return
+    goes to the kernel of the successor it names, until a kernel
+    returns None, a successor has no chain kernel, or the budget ends;
+    the state is built there.  The step the chain could not take goes
+    through step, straight to its loop if a kernel declined it, and the
+    silent steps of a hot config that go through step teach their
+    pattern its successor (_learn).
+    """
+    check_protocol(w, max_steps)
+    chains = cfg._chains
+    n = len(w)
+    state = cfg._start
+    while state.t < max_steps:
+        t = state.t
+        x = input_at(w, t, 2)
+        learn = t >= n and cfg._kernels is not None
+        if learn:
+            pat = chains.get(tuple(state.nums))
+            if pat is not None and pat.kernel is not None:
+                state, pat = pat.run(state, max_steps)
+                t = state.t
+                if t == max_steps:
+                    break
+                if pat.kernel is not None:
+                    x = _DECLINED
+        prev = state
+        state, y = step(cfg, state, x)
+        if y[0] or y[1]:
+            return _outcome(y, t + 1)
+        if learn:
+            _learn(cfg, prev, state)
+    return Decision("timeout")
+
+
+def _learn(cfg, prev, nxt):
+    """Note that the silent step from prev reached nxt; a pattern that
+    holds a kernel and had not seen nxt's live cells follow it gets its
+    chain kernel built with them, in place of the kernel it held."""
+    live = tuple(prev.nums)
+    pat = _pattern(cfg._chains, live)
+    succ = tuple(nxt.nums)
+    if succ not in pat.succ:
+        pat.succ.append(succ)
+        if (live, _SILENT) in cfg._kernels:
+            _kernel(cfg, prev, _SILENT)

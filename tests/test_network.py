@@ -8,6 +8,7 @@ import json
 import math
 from itertools import product
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 from hypothesis import example, given, settings
@@ -370,6 +371,89 @@ def test_inputs_other_than_int_tuples_take_the_interpreted_loop(hot):
     assert cfg._kernels == {} and hot == [None]
     nxt, _y = step(cfg, cfg._start, (1, 0))
     assert nxt.h == (R(1) / 2, R(1) / 3) and len(cfg._kernels) == 1
+
+
+def silent_kernels(cfg):
+    """The kernels cfg holds for silent patterns, by live cells, after
+    asserting that a pattern run_word has seen step to a successor
+    holds its chain kernel and every other pattern a step kernel, and
+    that no chain kernel is kept beside another kernel."""
+    out = {}
+    for (live, x), kern in cfg._kernels.items():
+        pat = cfg._chains.get(live) if x == (0, 0) else None
+        if pat is not None and pat.succ:
+            assert kern.__self__ is pat and pat.kernel
+        else:
+            assert type(kern) is FunctionType
+        if x == (0, 0):
+            out[live] = kern
+    assert all(out[live].__self__ is pat
+               for live, pat in cfg._chains.items() if pat.kernel)
+    return out
+
+
+def test_a_chained_config_holds_one_kernel_per_silent_pattern(hot):
+    # run_word teaches each silent pattern it steps its successors; step
+    # runs the chain kernel of such a pattern too, and a pattern met
+    # only where the output fires keeps a step kernel
+    for net in compiled_nets():
+        for w in short_words(6):
+            run_compiled(net, w)
+        cfg = net.cfg
+        for w in short_words(2):        # step on the silent patterns too
+            s = stack_run(net.machine, w, 10 ** 5).tau
+            aug._truncated_loop(cfg, w, net.time_bound(len(w), s), 8)
+        kinds = [type(kern) is FunctionType for kern in silent_kernels(cfg).values()]
+        assert kinds.count(False) > 20 and kinds.count(True) > 0
+    assert all(hot)
+
+
+def test_interval_and_truncated_configs_build_no_chain_kernel(hot):
+    # run_word never runs them, so they keep their step kernels
+    a = aug.ann_from_tma(stream_compare_tma(), two_thirds_stream())
+    e = aug.enn_from_tma(stream_compare_tma(), two_thirds_stream())
+    net = compiled_nets()[0]
+    for w in short_words(2):
+        aug.ann_run(a, w, 40 * len(w) + 60)
+        for spec, steps in ((a, 40 * len(w) + 60), (e, 130 * len(w) + 320),
+                            (net.cfg, 200)):
+            for q in (3, 8, 40):
+                aug.truncate_run(spec, aug.TruncationPolicy(q), w, steps)
+    assert len(hot) > 50 and all(type(kern) is FunctionType for kern in hot)
+    derived = [c for base in (a.base, e.base, net.cfg)
+               for c in base._derived.values()] + [net.cfg]
+    assert all(c._chains == {} for c in derived)
+
+
+def test_patterns_met_only_in_truncated_runs_keep_step_kernels(kernels_built,
+                                                               monkeypatch):
+    # calibrate_c runs every exact run, through run_word, and then the
+    # truncated runs through step on the same config (a compiled net is
+    # its own truncation from 2 bits on).  A config that turns hot only
+    # in the truncated runs has seen no pattern step in run_word, so its
+    # silent patterns get step kernels; the next calibration's exact
+    # runs rebuild them as chain kernels.  Both agree with a cold twin.
+    net = compiled_nets()[1]
+    cfg, cold = net.cfg, stay_cold(RnnConfig.from_json(net.cfg.to_json()))
+    corpus = short_words(4)
+    bound = {}
+    for w in corpus:
+        s = stack_run(net.machine, w, 10 ** 5).tau
+        bound[len(w)] = max(bound.get(len(w), 0), net.time_bound(len(w), s))
+    exact = [run_word(cold, w, bound[len(w)]) for w in corpus]
+    assert all(d.kind != "timeout" for d in exact)
+    want = calibrate_c(cold, corpus, bound.__getitem__)
+    monkeypatch.setattr(network, "_HOT_STEPS", sum(d.tau for d in exact))
+    monkeypatch.setattr(network, "_SIGHTINGS", 1)
+    assert calibrate_c(cfg, corpus, bound.__getitem__) == want
+    assert cfg._chains == {}
+    assert all(type(kern) is FunctionType for kern in silent_kernels(cfg).values())
+    built = len(cfg._kernels)
+    assert calibrate_c(cfg, corpus, bound.__getitem__) == want
+    kinds = [type(kern) is FunctionType for kern in silent_kernels(cfg).values()]
+    assert kinds.count(False) > 20 and kinds.count(True) > 0
+    assert len(cfg._kernels) == built and all(kernels_built)
+    assert cold._kernels is None
 
 
 def test_the_evolving_lift_turns_hot_where_majority_of_three_stays_cold(

@@ -18,14 +18,17 @@ once one of its steps was long, runs a generated kernel.
 import itertools
 import math
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from exactrnn import augmented as aug
+from exactrnn import network
 from exactrnn.compiler import compile_machine
 from exactrnn.errors import PrecisionExhausted, ProtocolViolation, UndefinedThreshold
 from exactrnn.machines import stack_run, tm_to_stack
-from exactrnn.network import Decision, NetworkState, RnnConfig, input_at, step, theta
+from exactrnn.network import (
+    Decision, NetworkState, RnnConfig, input_at, run_word, step, theta)
 from exactrnn.words import BitStream, ZERO, as_rat, delta4, sigma, trunc_frac
 from exactrnn.zoo import (
     advice_eater_tma, dyck_sm, eater_stream, first_coin_snn, majority3_snn,
@@ -235,6 +238,7 @@ def assert_steps_agree(cfg, xs):
         h = want[0]
         assert (state.t, state.h, y) == (t, h, want[1])
         assert all(state.nums.values())       # only live cells are kept
+        assert math.gcd(state.den, *state.nums.values()) == 1
 
 
 def protocol_inputs(cfg, w, steps, x2=None):
@@ -661,3 +665,130 @@ def test_kernels_run_random_truncated_loops_like_reference(hot, cfg, q, w, x2):
     steps = len(w) + 4
     assert decision(lambda: aug._truncated_loop(cfg, w, steps, q, x2)) \
         == decision(lambda: fraction_truncated_loop(cfg, w, steps, q, x2))
+
+
+# -------------------------------------------------------- chained runs
+# run_word of a hot config with two input lines runs the steps after the
+# word as a chain of kernels on bare integers (network._chained)
+
+
+def cold_twin(cfg):
+    """A copy of cfg that takes step's interpreted loop however many
+    steps it takes."""
+    twin = RnnConfig.from_json(cfg.to_json())
+    twin._cold_steps = -10 ** 9
+    return twin
+
+
+def assert_chained_runs_agree(cfg, w, tau, cold=None):
+    """run_word of the hot cfg at every budget from len(w) to tau agrees
+    with the run of its cold twin: the same kind and tau, or the same
+    error type and message."""
+    cold = cold or cold_twin(cfg)
+    for budget in range(len(w), tau + 1):
+        got = decision(lambda: run_word(cfg, w, budget))
+        assert got == decision(lambda: run_word(cold, w, budget)), (w, budget)
+    assert cold._kernels is None
+
+
+def test_chained_runs_match_cold_runs_on_compiled_parity_and_dyck(hot):
+    for net in compiled_nets():
+        cold = cold_twin(net.cfg)
+        for w in ("".join(b) for n in range(7) for b in itertools.product("01", repeat=n)):
+            d = run_word(cold, w, 10 ** 4)
+            assert_chained_runs_agree(net.cfg, w, d.tau, cold)
+        chains = net.cfg._chains
+        assert any(p.kernel for p in chains.values())
+        assert any(len(p.succ) > 1 for p in chains.values())
+    assert len(hot) > 100 and all(hot)
+
+
+def count_chain_runs(cfg, runs):
+    """Have every chain kernel cfg holds note each call in runs."""
+    for pat in cfg._chains.values():
+        if pat.kernel:
+            pat.kernel = (lambda kern: lambda *a: runs.append(1) or kern(*a))(pat.kernel)
+
+
+def test_chain_kernels_step_like_reference(hot):
+    # step runs the silent patterns that run_word has taught their
+    # successors through their chain kernels, in lowest terms; the
+    # patterns only step meets get step kernels
+    for net in compiled_nets():
+        for w in WORDS:
+            run_word(net.cfg, w, 10 ** 4)
+        chains = net.cfg._chains
+        built = sum(1 for p in chains.values() if p.kernel)
+        runs = []
+        count_chain_runs(net.cfg, runs)
+        for w in WORDS + ["0110100", "00101101"]:
+            s = stack_run(net.machine, w, 10 ** 5).tau
+            assert_steps_agree(net.cfg, protocol_inputs(
+                net.cfg, w, net.time_bound(len(w), s)))
+        assert built and len(runs) > 100
+        assert sum(1 for p in chains.values() if p.kernel) == built
+    assert all(hot)
+
+
+def test_chained_runs_carry_long_operands_like_cold_runs(hot):
+    # forty opening brackets push forty base-4 digits onto Dyck's stack,
+    # so the shared denominator passes 64 bits within the chain
+    net = compile_machine(dyck_sm())
+    cold = cold_twin(net.cfg)
+    w = "0" * 40
+    d = run_word(cold, w, 10 ** 4, want_trace=True)
+    dens = [math.lcm(*(v.denominator for v in h)) for _t, h, _y in d.trace]
+    assert max(dens) > 1 << 64
+    assert_chained_runs_agree(net.cfg, w, d.tau, cold)
+    assert hot and all(hot)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sparse_configs().filter(lambda cfg: cfg.n_in == 2),
+       st.text("01", max_size=4))
+def test_chained_runs_match_cold_runs_on_random_rational_configs(hot, cfg, w):
+    # twice, so that the second pass runs the kernels the first built
+    cold = cold_twin(cfg)
+    for _ in range(2):
+        assert_chained_runs_agree(cfg, w, len(w) + 10, cold)
+
+
+def doubling_net(n, w_out, more=None):
+    """Cell 0 is one from step 1 on, cell 1 doubles from 2^-n and so
+    reaches one at step n, and cell 2 sums cell 1 and the bias in more.
+    Until step n every step keeps the same live cells."""
+    return RnnConfig(k=3, w_in={(0, 2): 1, **(more or {})},
+                     w_res={(1, 1): 2, (2, 1): 1}, w_out=w_out,
+                     h0=[0, R(1) / 2 ** n, 0])
+
+
+def test_chained_runs_stop_where_the_output_fires_mid_chain(hot, monkeypatch):
+    # the data line reads 2 * cell 1 - cell 0, which passes 0 only at
+    # step 12: a mis-wired net, on a step whose successor the chain knows
+    cfg = doubling_net(12, {(0, 1): 2, (0, 0): -1})
+    cold = cold_twin(cfg)
+    assert_chained_runs_agree(cfg, "011", 14, cold)
+    want = decision(lambda: run_word(cold, "011", 20))
+    assert want == ("ProtocolViolation", "output bit fired without validation at t=12")
+    # once the pattern is learnt, the chain carries the silent steps and
+    # step takes only the word's three and the one that fires, which the
+    # chain kernel declined and which step does not try on it again
+    calls, runs = [], []
+    counted = network.step
+    monkeypatch.setattr(network, "step", lambda *a: calls.append(1) or counted(*a))
+    count_chain_runs(cfg, runs)
+    assert decision(lambda: run_word(cfg, "011", 20)) == want
+    assert len(calls) == 3 + 1 and len(runs) == 12 - 3
+
+
+def test_chained_runs_read_a_negative_sum_as_zero(hot):
+    # cell 2 sums cell 1 - 3/4, negative up to step 12; the spike line
+    # reads 4 * cell 2 + 2 * cell 1 - cell 0, which is 0 at step 11 and
+    # one at step 12, where cell 1 is one and cell 2 still 0 (its sum
+    # -1/4 would cancel the spike)
+    cfg = doubling_net(12, {(1, 2): 4, (1, 1): 2, (1, 0): -1}, {(2, 2): R(-3) / 4})
+    cold = cold_twin(cfg)
+    assert decision(lambda: run_word(cold, "", 20)) == ("ok", ("reject", 12))
+    for _ in range(2):
+        assert_chained_runs_agree(cfg, "", 14, cold)

@@ -22,40 +22,41 @@ A compiled network's live cells follow its finite control, not the
 word, so a long run meets the same few hundred (live cells, input)
 patterns over and over, and so does the advice replay of an evolving
 net.  A config that has taken _HOT_STEPS steps turns hot if it has two
-input lines or its step is long, and each pattern it then meets
-_SIGHTINGS times gets a step kernel: a straight-line function,
+input lines or its step is long, and keeps one _Pattern for each
+pattern it then steps.  After every interpreted step the pattern learns
+its successor, the live cells the step reached, and on its
+_SIGHTINGS-th step it gets its kernel: a straight-line function,
 generated from the config's integer weights and compiled once, that
-does what the interpreted loop does for that pattern at either size,
-readout included, in about half the time.  A kernel skips work that
-lowest terms would undo: its sums run over one / f, where the pattern
-factor f is the gcd of the config's denominator and every coefficient
-the kernel writes (on most patterns of a compiled net, whose
-denominator is 4, f is 4), and each sum is written as the gcd of its
-own coefficients times a sum in which a coefficient of one is a plain
-add.  The interpreted loop stays the path of a cold config and of a
-rare pattern, because a kernel costs as much to build as a few dozen
-interpreted steps, and a one-shot command such as the README verify
-meets each of its patterns a few times at most.  A net whose third
-input line (coins) drives its live cells and whose steps stay short,
-such as majority of three, never turns hot.
+takes the live numerators and the shared denominator as ints and
+returns the next numerators, their denominator and the successor's
+pattern, at either size.  At a successor it has not seen it returns
+None; the loop takes that step, and the pattern learns the successor
+and is built again.  A kernel holds no readout: a state is read out
+only where its pattern has a live cell that an output line reads with
+a positive weight, and every other state outputs (0, 0).  A kernel
+skips work that lowest terms would undo: its sums run over one / f,
+where the pattern factor f is the gcd of the config's denominator and
+every coefficient the kernel writes (on most patterns of a compiled
+net, whose denominator is 4, f is 4), and each sum is written as the
+gcd of its own coefficients times a sum in which a coefficient of one
+is a plain add.  The interpreted loop stays the path of a cold config
+and of a rare pattern, because a kernel costs as much to build as a few
+dozen interpreted steps, and a one-shot command such as the README
+verify meets each of its patterns a few times at most.  A net whose
+third input line (coins) drives its live cells and whose steps stay
+short, such as majority of three, never turns hot.
 
 Once a word has ended, the input is (0,0) and a hot compiled step is a
 few integer adds, so the NetworkState, the dict, the lowest terms and
 the pattern key that step builds around them cost more than the adds.
-An untraced run_word of a hot config with two input lines therefore
-notes, for each silent pattern it steps, the live cells the step
-reaches, and a silent pattern with such successors gets a chain kernel
-in place of a step kernel: it takes the shared denominator and the
-live numerators as ints and returns the successor pattern with the
-next ones.  run_word hands the ints from kernel to kernel for the rest
-of the word and builds a state only where the chain stops: where an
-output line would fire, where the step reaches live cells the pattern
-has not been seen to reach (the run notes them and rebuilds the
-kernel), or at the step budget.  step runs a pattern with a chain
-kernel through it, so no pattern holds two kernels.  A silent pattern
-without successors keeps its step kernel until run_word steps it: those
-of interval nets, truncated copies and nets with a third line, and
-those a compiled net meets only in truncated runs or at a spike.
+An untraced run_word of a config with two input lines therefore hands
+each kernel's return straight to the kernel of the successor it names
+for the rest of the word, and builds a state only where the chain
+stops: on entering a state that is read out (the chain goes on from
+it unless the output fires), at a successor without a kernel or not
+yet seen, or at the step budget.  step and the chains run the same
+kernels, so which calls come first does not change what a pattern
+holds.
 
 Word I/O protocol: bit i of the word arrives as x_0 = w_i with
 validation x_1 = 1, input then goes silent (0,0).  The network answers
@@ -114,7 +115,9 @@ class RnnConfig:
     """
 
     def __init__(self, k, w_in, w_res, w_out=None, h0=None, n_in=2, cell_names=None):
-        if n_in not in (2, 3):
+        if type(k) is not int:                          # JSON 160.0 or true is no int
+            raise ValueError(f"k {k!r} is not an integer")
+        if type(n_in) is not int or n_in not in (2, 3):
             raise ValueError("n_in must be 2 or 3")
         if h0 is None:
             h0 = [0] * k
@@ -161,15 +164,11 @@ class RnnConfig:
         # immutable, so they never go stale
         self._derived = {}
         # steps taken cold, and once there were _HOT_STEPS of them the
-        # step kernels built so far and the steps taken per pattern
-        # still without one (see step); immutable as above
+        # patterns stepped, by (live cells, input), and the number of
+        # them that hold a kernel (see step); immutable as above
         self._cold_steps = 0
-        self._kernels = None
-        self._sightings = None
-        # the silent patterns run_word has stepped on a hot config, by
-        # live cells, with their successors and chain kernels (see
-        # run_word); immutable as above
-        self._chains = {}
+        self._patterns = None
+        self._kernel_count = 0
 
     def readout(self, state):
         """Output pair theta(W_out h) of a state."""
@@ -221,7 +220,7 @@ class NetworkState:
     Only live (nonzero) cells are stored, as integer numerators over one
     shared denominator: cell i holds nums[i] / den.  h, the k-tuple of
     exact rationals, is built on first read.  Every cell lies in [0, 1],
-    as in every state of a run; the step kernels rely on it.
+    as in every state of a run; the kernels rely on it.
     """
 
     __slots__ = ("t", "k", "den", "nums", "_h")
@@ -334,60 +333,94 @@ _SIGHTINGS = 16
 _MAX_KERNELS = 512
 
 
-# the input of every step after the word
+# the input of every step after the word, and the output pair of every
+# state that no output line reads
 _SILENT = (0, 0)
 
-# the silent input of a step a chain kernel declined: as a list, step
-# takes it through the interpreted loop without trying a kernel again
-_DECLINED = [0, 0]
+
+class _Pattern:
+    """A (live cells, input) pattern that a hot config has stepped.
+
+    seen counts the steps it took through the interpreted loop, succ
+    holds the pattern of each successor it has been seen to step to,
+    by live cells (the successor is keyed with the same input, so the
+    successor of a silent pattern is the silent pattern of the next
+    state), and kernel is its kernel once built (None before).  reads
+    tells whether an output line reads one of its live cells with a
+    positive weight: a state of a pattern that is not read has the
+    output pair (0, 0).
+    """
+
+    __slots__ = ("live", "x", "reads", "seen", "succ", "kernel")
+
+    def __init__(self, cfg, live, x):
+        self.live, self.x, self.seen, self.succ, self.kernel = live, x, 0, {}, None
+        self.reads = any(w > 0 and j in live for row in cfg._out_rows for j, w in row)
 
 
-def _kernel(cfg, state, x):
-    """The step kernel of cfg for the live cells of state and input x,
-    built and kept on cfg; None when x is not all int.
+def _teach(cfg, pat, live):
+    """Note that pat's step through the interpreted loop reached the
+    live cells live.  A successor pat has not seen gets its pattern and
+    rebuilds pat's kernel; the _SIGHTINGS-th step builds the kernel,
+    unless cfg keeps _MAX_KERNELS already."""
+    if live not in pat.succ:
+        key = (live, pat.x)
+        nxt = cfg._patterns.get(key)
+        if nxt is None:
+            nxt = cfg._patterns[key] = _Pattern(cfg, live, pat.x)
+        pat.succ[live] = nxt
+        if pat.kernel:
+            _kernel(cfg, pat)
+    pat.seen += 1
+    if pat.seen == _SIGHTINGS and pat.kernel is None and cfg._kernel_count < _MAX_KERNELS:
+        _kernel(cfg, pat)
 
-    A kernel is step's loop unrolled for one pattern, at either size:
-    each target cell's sum is one expression in the live numerators m0,
-    m1, ... with integer literals for weights, inputs and bias folded
-    together, written in the order the interpreted loop inserts the
-    cells, so that both paths give the same next state, key included,
-    and brought to lowest terms by the common factor step takes.
+
+def _kernel(cfg, pat):
+    """Build the kernel of cfg's pattern pat, keep it on pat and return
+    it; None when pat's input is not all int.
+
+    A kernel is step's loop unrolled for one pattern, at either size.
+    It takes the live numerators m0, m1, ... and the shared denominator
+    den, and each target cell's sum is one expression in them, with
+    integer literals for weights, inputs and bias folded together.
     Every live numerator lies in (0, den], so the signs of a sum's
     coefficients bound it: a sum that cannot pass 0 is left out, one
     that cannot fall below one is one, and the tests against 0 and one
     are written only where the sum can cross them.  That halves the
     build and reads 15 % more compiled-verify ops a second than one
-    guarded store per cell.  The kernel reads out the sums before they
-    are brought to lowest terms, which leaves every comparison with one
-    and every readout value unchanged.
+    guarded store per cell.  The tests against 0 of the sums that may
+    pass it pick the successor: the kernel returns the numerators of
+    its live cells, in the order the interpreted loop inserts them,
+    then their denominator one and the successor's pattern, or None at
+    a successor pat has not been seen to reach.  A trailing argument
+    is ignored, so a kernel's return is the call of the successor's
+    kernel.  The kernel holds no readout.
 
     The kernel takes out the pattern factor f, the gcd of cfg._den and
     every coefficient of every sum it writes in full (sums that cannot
     pass 0 or that are one are not written): it sums over one / f with
-    each coefficient divided by f, so lowest terms divides by g / f and
-    reaches the state the loop reaches.  The readout compares over
-    cfg._den * one and so sees the same rationals; the sign bounds
-    stay in the units of cfg._den.  On compiled parity and Dyck 293 of
-    the 352 kernels have f = 4, the whole of their denominator, and
-    sum over den itself.  Each sum is written as its own gcd times
+    each coefficient divided by f.  Where f is the whole of cfg._den,
+    as on 293 of the 352 kernels of compiled parity and Dyck, one is
+    den itself and the numerators are returned as they came, not in
+    lowest terms; elsewhere the kernel divides by the common factor g
+    where g passes 1, since a division by 1 would cost a long operand
+    linear time for nothing.  Each sum is written as its own gcd times
     (±m ± m ...), where a coefficient of one is a plain add.  Both
     together read 31 % more compiled-verify ops a second.  The kernel
     keeps f as its factor attribute.
-
-    For input (0, 0), a pattern that run_word has seen step to a
-    successor gets its chain kernel instead, and the step form of that
-    is returned (see _chain_kernel).
     """
+    x = pat.x
     if any(type(v) is not int for v in x):
         return None
-    live = tuple(state.nums)
+    den = cfg._den
     consts = dict.fromkeys(cfg._pos_bias, 0)
     terms = {}
     for c, xv in enumerate(x):
         if xv:
             for i, w in cfg._in_cols[c]:
                 consts[i] = consts.get(i, 0) + w * xv
-    for n, j in enumerate(live):
+    for n, j in enumerate(pat.live):
         for i, w in cfg._res_by_col.get(j, ()):
             consts.setdefault(i, 0)
             terms.setdefault(i, []).append((w, f"m{n}"))
@@ -402,174 +435,50 @@ def _kernel(cfg, state, x):
         lo = c + sum(w for w, m in parts if w < 0 and m != "den")
         if hi > 0:
             sums.append((i, c, lo, hi, parts))
-    f = math.gcd(cfg._den, *(w for _i, _c, lo, _hi, parts in sums if lo < cfg._den
-                             for w, _m in parts))
-    pat = cfg._chains.get(live) if x == _SILENT else None
-    if pat is not None and pat.succ:
-        return _chain_kernel(cfg, pat, sums, f)
-    lines = ["def kernel(s):"]
-    if live:
-        names = ", ".join(f"m{n}" for n in range(len(live)))
-        lines.append(f"    {names}, = s.nums.values()")
-    lines += ["    den = s.den", "    nums = {}"]
-    lines += _sum_lines(cfg, sums, f, "    ", keep=True)[0]
-    emitted = {i for i, *_rest in sums}
-    ys = []
-    for r, row in enumerate(cfg._out_rows):
-        parts = [f"{w} * v{j}" for j, w in row if j in emitted]
-        if not parts:
-            ys.append("0")
-            continue
-        lines += [f"    r{r} = {' + '.join(parts)}",
-                  f"    y{r} = 0 if r{r} <= 0 else 1 if r{r} >= {cfg._den} * one "
-                  f"else theta(Rat(r{r}, {cfg._den} * one))"]
-        ys.append(f"y{r}")
-    lines.append(f"    return reduced(s.t + 1, {cfg.k}, one, nums), ({ys[0]}, {ys[1]})")
-    scope = {}
-    exec(compile("\n".join(lines), "<step kernel>", "exec"), _KERNEL_GLOBALS, scope)
-    cfg._kernels[live, x] = kern = scope["kernel"]
-    kern.factor = f
-    return kern
-
-
-def _sum_lines(cfg, sums, f, indent, keep):
-    """The lines of a kernel body, at indent, that set one to cfg._den /
-    f times den and v{i} to each of the sums (see _kernel): clamped to
-    one, zeroed where the readout reads a sum that may not pass 0, and,
-    when keep is set, stored as nums[i] where the sum passes 0.
-    Returns the lines and the cells whose sums may not pass 0."""
-    read = {j for row in cfg._out_rows for j, _w in row}
-    lines = [indent + ("one = den" if f == cfg._den else f"one = {cfg._den // f} * den")]
+    f = math.gcd(den, *(w for _i, _c, lo, _hi, parts in sums if lo < den
+                        for w, _m in parts))
+    succ = ", ".join(f"p{n}" for n in range(len(pat.succ)))
+    args = "".join(f"m{n}, " for n in range(len(pat.live)))
+    lines = [f"def make({succ}):", f"    def kernel({args}den, _=None):",
+             "        one = den" if f == den else f"        one = {den // f} * den"]
     maybe = []
     for i, c, lo, hi, parts in sums:
-        v = f"v{i}"
-        put = f"nums[{i}] = {v}" if keep else v
-        if lo >= cfg._den:
-            lines.append(f"{indent}{put} = one")
+        if lo >= den:
+            lines.append(f"        v{i} = one")
             continue
-        lines.append(f"{indent}{v} = {_sum_expr([(w // f, m) for w, m in parts])}")
-        if hi > cfg._den:
-            put += f" = {v} if {v} < one else one"
-        elif not keep:
-            put = None
-        if lo > 0 or (lo == 0 and hi > c):      # always passes 0
-            if put:
-                lines.append(indent + put)
-            continue
-        maybe.append(i)
-        if put:
-            lines += [f"{indent}if {v} > 0:", f"{indent}    {put}"]
-            if i in read:
-                lines += [f"{indent}else:", f"{indent}    {v} = 0"]
-        elif i in read:
-            lines += [f"{indent}if {v} < 0:", f"{indent}    {v} = 0"]
-    return lines, maybe
-
-
-def _chain_kernel(cfg, pat, sums, f):
-    """The chain kernel of cfg's silent pattern pat, built from the sums
-    of _kernel and kept on pat; returns pat's step.
-
-    The kernel takes (den, m0, m1, ...) and returns (successor pattern,
-    one, v...), the next numerators over one in the successor's order,
-    or None when an output sum can pass 0 (the step would fire, or
-    raise) or the next live cells are none of the successors the
-    pattern has been seen to reach.  It brings its return to lowest
-    terms only when f is not the whole of cfg._den: otherwise one is
-    den and the numerators stay as short as they came, and the state
-    built where the chain stops takes lowest terms (_Chain.state).
-    Scaling one and every numerator by the same factor moves no sign
-    bound, no clamp and no output test.
-    """
-    succ = ", ".join(f"p{n}" for n in range(len(pat.succ)))
-    args = "".join(f", m{n}" for n in range(len(pat.live)))
-    body, maybe = _sum_lines(cfg, sums, f, "        ", keep=False)
-    lines = [f"def make({succ}):", f"    def kernel(den{args}):"] + body
-    emitted = {i for i, *_rest in sums}
-    for row in cfg._out_rows:
-        parts = [(w, f"v{j}") for j, w in row if j in emitted]
-        if any(w > 0 for w, _v in parts):
-            g = math.gcd(*(w for w, _v in parts))
-            lines += [f"        if {_sum_expr([(w // g, v) for w, v in parts])} > 0:",
-                      "            return None"]
+        lines.append(f"        v{i} = {_sum_expr([(w // f, m) for w, m in parts])}")
+        if hi > den:
+            lines.append(f"        if v{i} > one: v{i} = one")
+        if not (lo > 0 or (lo == 0 and hi > c)):        # may not pass 0
+            maybe.append(i)
     for n, nxt in enumerate(pat.succ):
         test = " and ".join(f"v{i} > 0" if i in nxt else f"v{i} <= 0" for i in maybe)
         indent = "            " if test else "        "
         if test:
             lines.append(f"        if {test}:")
-        vals = "".join(f", v{i}" for i in nxt)
-        if f == cfg._den:
-            lines.append(f"{indent}return p{n}, one{vals}")
-        else:
-            lines += [f"{indent}g = (gcd if one < LONG else common_factor)(one{vals})",
-                      f"{indent}return p{n}, one // g"
-                      + "".join(f", v{i} // g" for i in nxt)]
+        vals = "".join(f"v{i}, " for i in nxt)
+        if f != den:
+            lines += [f"{indent}g = (gcd if one < LONG else common_factor)(one, {vals})",
+                      f"{indent}if g > 1:",
+                      f"{indent}    return {''.join(f'v{i} // g, ' for i in nxt)}one // g, p{n}"]
+        lines.append(f"{indent}return {vals}one, p{n}")
     lines.append("    return kernel")
     scope = {}
-    exec(compile("\n".join(lines), "<chain kernel>", "exec"), _KERNEL_GLOBALS, scope)
-    pat.kernel = scope["make"](*(_pattern(cfg._chains, nxt) for nxt in pat.succ))
-    cfg._kernels[pat.live, _SILENT] = pat.step
-    return pat.step
-
-
-def _pattern(chains, live):
-    """The _Chain of the silent pattern live, made on first use."""
-    pat = chains.get(live)
-    if pat is None:
-        pat = chains[live] = _Chain(live)
-    return pat
-
-
-class _Chain:
-    """A silent pattern that run_word has stepped on a hot config: its
-    live cells, the live cells of every successor it has been seen to
-    step to, and its chain kernel once built (None before)."""
-
-    __slots__ = ("live", "succ", "kernel")
-
-    def __init__(self, live):
-        self.live, self.succ, self.kernel = live, [], None
-
-    def state(self, t, k, one, *nums):
-        """The state at step t with these numerators over one."""
-        return _reduced(t, k, one, dict(zip(self.live, nums)))
-
-    def step(self, s):
-        """step's form of the kernel: (next state, (0, 0)), or None
-        where the chain would stop."""
-        r = self.kernel(s.den, *s.nums.values())
-        if r is not None:
-            return r[0].state(s.t + 1, s.k, *r[1:]), _SILENT
-
-    def run(self, s, stop):
-        """Chain the kernels from state s, at most up to step stop: the
-        state where the chain stops (s itself if it took no step) and its
-        pattern, whose kernel declined the next step if it has one."""
-        pat, kern = self, self.kernel
-        args = (s.den, *s.nums.values())
-        t = s.t
-        while t < stop:
-            r = kern(*args)
-            if r is None:
-                break
-            t += 1
-            pat = r[0]
-            args = r[1:]
-            kern = pat.kernel
-            if kern is None:
-                break
-        if t == s.t:
-            return s, self
-        return pat.state(t, s.k, *args), pat
+    exec(compile("\n".join(lines), "<kernel>", "exec"), _KERNEL_GLOBALS, scope)
+    if pat.kernel is None:
+        cfg._kernel_count += 1
+    pat.kernel = kern = scope["make"](*pat.succ.values())
+    kern.factor = f
+    return kern
 
 
 def _reduced(t, k, one, nums):
     """The state at step t whose cells are nums over one, brought to
     lowest terms in place: math.gcd below 2^64, common_factor from there
-    on.  step, the step kernels and the chains build their states here.
-    A loop divides, not a comprehension, which would compile to a code
-    object of its own, and the state is made here, not by a call of
-    _sparse, which would cost a cold step 1 % more."""
+    on.  step and the chains build their states here.  A loop divides,
+    not a comprehension, which would compile to a code object of its
+    own, and the state is made here, not by a call of _sparse, which
+    would cost a cold step 1 % more."""
     g = (math.gcd if one < _LONG else common_factor)(one, *nums.values())
     if g > 1:
         one //= g
@@ -580,9 +489,7 @@ def _reduced(t, k, one, nums):
     return state
 
 
-_KERNEL_GLOBALS = {"gcd": math.gcd, "common_factor": common_factor,
-                   "LONG": _LONG, "reduced": _reduced,
-                   "theta": theta, "Rat": Rat}
+_KERNEL_GLOBALS = {"gcd": math.gcd, "common_factor": common_factor, "LONG": _LONG}
 
 
 def _sum_expr(parts):
@@ -615,44 +522,45 @@ def step(cfg, state, x):
     work per edge, and a config that keeps stepping long turns hot.
 
     Each config counts its steps.  After _HOT_STEPS of them a config
-    is hot if it has two input lines or the step is long: a step of
-    either size looks up the kernel of (the state's live cells, x) and
-    returns what the kernel returns, the same state and output pair as
-    the loop.  A pattern without a kernel takes the loop, and a hot
-    config counts its steps: on the _SIGHTINGS-th the kernel is built
-    (see _kernel) and the count dropped, unless the config keeps
-    _MAX_KERNELS already or x is not a tuple of ints.  A cold config
-    counts no pattern, so that a one-shot command pays one counter a
-    step and builds nothing.  A chain kernel (see run_word) returns None
-    where its chain would stop, and the step then takes the loop.  An
-    input that is not a tuple takes the loop at once, with no lookup and
-    no count (_chained hands over the step a chain kernel declined so).
+    is hot if it has two input lines or the step is long, and then a
+    step of either size looks up the pattern of (the state's live
+    cells, x).  A pattern with a kernel (see _kernel) hands it the
+    live numerators and den; the kernel's return, brought to lowest
+    terms, is the next state, the same as the loop's, and it is read
+    out only when the successor's pattern is read (_Pattern.reads).
+    Any other step takes the loop, and on a hot config the pattern
+    then learns the live cells it reached (_teach): an unseen successor
+    rebuilds the pattern's kernel, and the _SIGHTINGS-th step builds
+    it, unless the config keeps _MAX_KERNELS already or x is not a
+    tuple of ints.  A cold config counts no pattern, so that a one-shot
+    command pays one counter a step and builds nothing.  An input that
+    is not a tuple takes the loop, with no lookup and no count.
     """
     if len(x) != cfg.n_in:
         raise ValueError(f"expected {cfg.n_in} input lines, got {len(x)}")
     den = state.den
-    one = cfg._den * den
-    kernels = cfg._kernels
-    if kernels is None:
+    patterns = cfg._patterns
+    if patterns is None:
         if cfg._cold_steps < _HOT_STEPS:
             cfg._cold_steps += 1
-        elif cfg.n_in == 2 or one >= _LONG:
-            kernels = cfg._kernels = {}
-            cfg._sightings = {}
-    if kernels is not None and type(x) is tuple:
+        elif cfg.n_in == 2 or cfg._den * den >= _LONG:
+            patterns = cfg._patterns = {}
+    pat = None
+    if patterns is not None and type(x) is tuple:
         key = (tuple(state.nums), x)
-        kern = kernels.get(key)
-        if kern is None:
-            seen = cfg._sightings
-            n = seen[key] = seen.get(key, 0) + 1
-            if n == _SIGHTINGS and len(kernels) < _MAX_KERNELS:
-                kern = _kernel(cfg, state, x)
-                if kern:
-                    del seen[key]
-        if kern:
-            out = kern(state)
-            if out:
-                return out
+        pat = patterns.get(key)
+        if pat is None:
+            pat = patterns[key] = _Pattern(cfg, *key)
+        elif pat.kernel:
+            r = pat.kernel(*state.nums.values(), den)
+            if r is not None:
+                # a return over den itself may not be in lowest terms
+                # (see _kernel); any other is
+                succ, one = r[-1], r[-2]
+                nxt = (_reduced if one == den else NetworkState._sparse)(
+                    state.t + 1, cfg.k, one, dict(zip(succ.live, r)))
+                return nxt, cfg.readout(nxt) if succ.reads else _SILENT
+    one = cfg._den * den
     res = cfg._res_by_col
     bias = cfg._bias_map
     acc = dict.fromkeys(cfg._pos_bias, 0)
@@ -675,6 +583,8 @@ def step(cfg, state, x):
         if v > 0:
             nums[i] = v if v < one else one
     nxt = _reduced(state.t + 1, cfg.k, one, nums)
+    if pat is not None:
+        _teach(cfg, pat, tuple(nums))
     return nxt, cfg.readout(nxt)
 
 
@@ -747,49 +657,40 @@ def _chained(cfg, w, max_steps):
     """run_word of a config with two input lines, untraced.
 
     Every step of a cold config goes through step, and so does the
-    word.  On a hot config, after the word, a state whose pattern has a
-    chain kernel hands its numerators to it, and each kernel's return
-    goes to the kernel of the successor it names, until a kernel
-    returns None, a successor has no chain kernel, or the budget ends;
-    the state is built there.  The step the chain could not take goes
-    through step, straight to its loop if a kernel declined it, and the
-    silent steps of a hot config that go through step teach their
-    pattern its successor (_learn).
+    word.  On a hot config, after the word, a state whose silent pattern
+    has a kernel hands its numerators and den to it, and each kernel's
+    return goes to the kernel of the successor it names, until a kernel
+    returns None, a successor has no kernel or is read, or the budget
+    ends; the state is built there.  A read state is read out, and
+    unless the output fires the chain goes on from it; any other stop
+    leaves the next step to step.
     """
     check_protocol(w, max_steps)
-    chains = cfg._chains
     n = len(w)
     state = cfg._start
     while state.t < max_steps:
         t = state.t
-        x = input_at(w, t, 2)
-        learn = t >= n and cfg._kernels is not None
-        if learn:
-            pat = chains.get(tuple(state.nums))
-            if pat is not None and pat.kernel is not None:
-                state, pat = pat.run(state, max_steps)
-                t = state.t
-                if t == max_steps:
-                    break
-                if pat.kernel is not None:
-                    x = _DECLINED
-        prev = state
-        state, y = step(cfg, state, x)
+        if t >= n and cfg._patterns is not None:
+            pat = cfg._patterns.get((tuple(state.nums), _SILENT))
+            kern = pat and pat.kernel
+            if kern:
+                r = (*state.nums.values(), state.den)
+                while t < max_steps:
+                    nxt = kern(*r)
+                    if nxt is None:
+                        break
+                    r, pat, t = nxt, nxt[-1], t + 1
+                    kern = pat.kernel
+                    if pat.reads or kern is None:
+                        break
+                if t > state.t:
+                    state = _reduced(t, cfg.k, r[-2], dict(zip(pat.live, r)))
+                    if pat.reads:
+                        y = cfg.readout(state)
+                        if y[0] or y[1]:
+                            return _outcome(y, t)
+                    continue
+        state, y = step(cfg, state, input_at(w, t, 2))
         if y[0] or y[1]:
             return _outcome(y, t + 1)
-        if learn:
-            _learn(cfg, prev, state)
     return Decision("timeout")
-
-
-def _learn(cfg, prev, nxt):
-    """Note that the silent step from prev reached nxt; a pattern that
-    holds a kernel and had not seen nxt's live cells follow it gets its
-    chain kernel built with them, in place of the kernel it held."""
-    live = tuple(prev.nums)
-    pat = _pattern(cfg._chains, live)
-    succ = tuple(nxt.nums)
-    if succ not in pat.succ:
-        pat.succ.append(succ)
-        if (live, _SILENT) in cfg._kernels:
-            _kernel(cfg, prev, _SILENT)

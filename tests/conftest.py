@@ -7,14 +7,13 @@ from exactrnn import network
 
 @pytest.fixture
 def kernels_built(monkeypatch):
-    """Every kernel built while the test runs, in order, rebuilds
-    included: step kernels, and chain kernels in the form step runs them
-    (a method of their pattern); None for a pattern that took the
-    interpreted loop instead."""
+    """Every kernel built while the test runs, in order, rebuilds at a
+    new successor included; None for a pattern whose input is not all
+    int, which takes the interpreted loop instead."""
     built, build = [], network._kernel
 
-    def recording(cfg, state, x):
-        kern = build(cfg, state, x)
+    def recording(cfg, pat):
+        kern = build(cfg, pat)
         built.append(kern)
         return kern
 
@@ -25,10 +24,10 @@ def kernels_built(monkeypatch):
 @pytest.fixture
 def hot(monkeypatch, kernels_built):
     """Every config hot from its first step and every pattern given its
-    kernel on first sight, so that each short step runs a kernel (a
-    silent pattern that run_word steps gets a step kernel and, once the
-    step has taught it its successor, its chain kernel); returns the
-    kernels built."""
+    kernel on first sight, after the interpreted step that taught it its
+    first successor, so that each later step runs a kernel, in step or
+    in a chain of run_word, unless it reaches a successor its pattern
+    has not seen; returns the kernels built."""
     monkeypatch.setattr(network, "_HOT_STEPS", 0)
     monkeypatch.setattr(network, "_SIGHTINGS", 1)
     return kernels_built

@@ -371,6 +371,26 @@ def test_verify_refuses_weight_indices_that_are_not_distinct_integers(
         assert_one_error(capsys, text)
 
 
+def test_verify_refuses_a_cell_count_that_is_not_an_int(
+        tmp_path, parity_files, capsys):
+    # k 160.0 made the eater's interval net read w_in[160.0, 1] and
+    # crash, and a compiled parity net with k 101.0 passed
+    mp, np = parity_files
+    net = json.loads(Path(np).read_text())
+    cp = write_corpus(tmp_path / "c.txt", ["", "1"])
+    bad = write_json(tmp_path / "bad.rnn",
+                     mutated(net, ("cfg", "k"), float(net["cfg"]["k"])))
+    assert main(["verify", mp, bad, "--corpus", cp]) == 2
+    assert_one_error(capsys, "is not an integer")
+    m = advice_eater_tma()
+    d = ann_from_tma(m, eater_stream(8)).to_json()
+    ep = write_json(tmp_path / "eat.tma", m.to_json())
+    bad = write_json(tmp_path / "bad.ann",
+                     mutated(d, ("base", "k"), float(d["base"]["k"])))
+    assert main(["verify", ep, bad, "--corpus", cp, "--max-steps", "5000"]) == 2
+    assert_one_error(capsys, "is not an integer")
+
+
 def test_verify_refuses_a_type_that_is_not_a_string(
         tmp_path, parity_files, capsys):
     mp, np = parity_files

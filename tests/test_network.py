@@ -271,6 +271,13 @@ def run_compiled(net, w):
     return d
 
 
+def kernels(cfg):
+    """The kernels cfg holds, by (live cells, input); None while cfg is
+    cold."""
+    if cfg._patterns is not None:
+        return {key: pat.kernel for key, pat in cfg._patterns.items() if pat.kernel}
+
+
 def test_a_word_run_again_on_a_hot_config_builds_no_kernel(hot):
     net = compiled_nets()[0]
     first = run_compiled(net, "0110100")
@@ -287,10 +294,11 @@ def test_a_hot_config_builds_a_kernel_on_the_last_sighting(kernels_built,
     cfg = compiled_nets()[0].cfg
     outs = [step(cfg, cfg._start, (0, 1))
             for _ in range(network._SIGHTINGS - 1)]
-    assert kernels_built == [] and cfg._kernels == {}
+    assert kernels_built == [] and kernels(cfg) == {}
     outs += [step(cfg, cfg._start, (0, 1)) for _ in range(3)]
     assert len(kernels_built) == 1 and kernels_built[0]
-    assert cfg._sightings == {}          # the count goes with the build
+    # the kernel takes the steps after the build, so the count stops
+    assert cfg._patterns[tuple(cfg._start.nums), (0, 1)].seen == network._SIGHTINGS
     assert len({(tuple(s.nums.items()), s.den, y) for s, y in outs}) == 1
 
 
@@ -298,7 +306,7 @@ def test_parity_and_dyck_stay_under_the_kernel_cap(hot):
     for net in compiled_nets():
         for w in short_words(8):
             run_compiled(net, w)
-        assert 0 < len(net.cfg._kernels) < network._MAX_KERNELS
+        assert 0 < len(kernels(net.cfg)) < network._MAX_KERNELS
     assert all(hot)
 
 
@@ -320,7 +328,7 @@ def steps_alike(cfg, cold, xs, advance=step):
         (a, ya), (b, yb) = advance(cfg, a, x), advance(cold, b, x)
         assert (list(a.nums.items()), a.den, ya) \
             == (list(b.nums.items()), b.den, yb)
-    assert cfg._kernels and cold._kernels is None
+    assert kernels(cfg) and kernels(cold) is None
     return long
 
 
@@ -356,8 +364,8 @@ def test_patterns_past_the_cap_take_the_interpreted_loop(hot, monkeypatch):
         a = run_word(cold, w, 400, want_trace=True)
         b = run_word(capped, w, 400, want_trace=True)
         assert (a.kind, a.tau, a.trace) == (b.kind, b.tau, b.trace)
-    assert cold._kernels is None and len(capped._kernels) == 3
-    assert hot == list(capped._kernels.values())     # none tried past the cap
+    assert kernels(cold) is None and len(kernels(capped)) == 3
+    assert hot == list(kernels(capped).values())     # none tried past the cap
 
 
 def test_inputs_other_than_int_tuples_take_the_interpreted_loop(hot):
@@ -368,34 +376,36 @@ def test_inputs_other_than_int_tuples_take_the_interpreted_loop(hot):
         assert (nxt.h, y) == ((R(1) / 2, R(1) / 3), (0, 0))
     # a list is not looked up, (True, 1) is refused a kernel, and the
     # equal key (1, 1) is not tried again
-    assert cfg._kernels == {} and hot == [None]
+    assert kernels(cfg) == {} and hot == [None]
     nxt, _y = step(cfg, cfg._start, (1, 0))
-    assert nxt.h == (R(1) / 2, R(1) / 3) and len(cfg._kernels) == 1
+    assert nxt.h == (R(1) / 2, R(1) / 3) and len(kernels(cfg)) == 1
 
 
-def silent_kernels(cfg):
-    """The kernels cfg holds for silent patterns, by live cells, after
-    asserting that a pattern run_word has seen step to a successor
-    holds its chain kernel and every other pattern a step kernel, and
-    that no chain kernel is kept beside another kernel."""
-    out = {}
-    for (live, x), kern in cfg._kernels.items():
-        pat = cfg._chains.get(live) if x == (0, 0) else None
-        if pat is not None and pat.succ:
-            assert kern.__self__ is pat and pat.kernel
-        else:
-            assert type(kern) is FunctionType
-        if x == (0, 0):
-            out[live] = kern
-    assert all(out[live].__self__ is pat
-               for live, pat in cfg._chains.items() if pat.kernel)
-    return out
+def one_kernel_per_pattern(cfg):
+    """kernels(cfg), after asserting that each pattern holds at most one
+    kernel and that no kernel is kept beside another: every kernel held
+    is a function of its own pattern alone, it names the successors its
+    pattern has learnt, in order, and each successor is the pattern cfg
+    keeps for that key."""
+    held = kernels(cfg)
+    assert all(type(kern) is FunctionType for kern in held.values())
+    assert len({id(kern) for kern in held.values()}) == len(held)
+    for (live, x), pat in cfg._patterns.items():
+        assert (pat.live, pat.x) == (live, x)
+        for nxt, succ in pat.succ.items():
+            assert cfg._patterns[nxt, x] is succ
+        if pat.kernel:
+            named = dict(zip(pat.kernel.__code__.co_freevars,
+                             (c.cell_contents for c in pat.kernel.__closure__)))
+            assert [named[f"p{n}"] for n in range(len(named))] \
+                == list(pat.succ.values())
+    return held
 
 
 def test_a_chained_config_holds_one_kernel_per_silent_pattern(hot):
-    # run_word teaches each silent pattern it steps its successors; step
-    # runs the chain kernel of such a pattern too, and a pattern met
-    # only where the output fires keeps a step kernel
+    # run_word and step build the one kind of kernel on every pattern,
+    # the silent ones that chains run included, and a kernel steps into
+    # the states that are read out as into any other
     for net in compiled_nets():
         for w in short_words(6):
             run_compiled(net, w)
@@ -403,13 +413,17 @@ def test_a_chained_config_holds_one_kernel_per_silent_pattern(hot):
         for w in short_words(2):        # step on the silent patterns too
             s = stack_run(net.machine, w, 10 ** 5).tau
             aug._truncated_loop(cfg, w, net.time_bound(len(w), s), 8)
-        kinds = [type(kern) is FunctionType for kern in silent_kernels(cfg).values()]
-        assert kinds.count(False) > 20 and kinds.count(True) > 0
+        silent = [cfg._patterns[key] for key in one_kernel_per_pattern(cfg)
+                  if key[1] == (0, 0)]
+        assert len(silent) > 20
+        assert any(nxt.reads for pat in silent for nxt in pat.succ.values())
+        assert any(len(pat.succ) > 1 for pat in silent)
     assert all(hot)
 
 
 def test_interval_and_truncated_configs_build_no_chain_kernel(hot):
-    # run_word never runs them, so they keep their step kernels
+    # run_word never runs them, and step builds them the kernels that
+    # chains run elsewhere, one per pattern
     a = aug.ann_from_tma(stream_compare_tma(), two_thirds_stream())
     e = aug.enn_from_tma(stream_compare_tma(), two_thirds_stream())
     net = compiled_nets()[0]
@@ -422,17 +436,15 @@ def test_interval_and_truncated_configs_build_no_chain_kernel(hot):
     assert len(hot) > 50 and all(type(kern) is FunctionType for kern in hot)
     derived = [c for base in (a.base, e.base, net.cfg)
                for c in base._derived.values()] + [net.cfg]
-    assert all(c._chains == {} for c in derived)
+    assert all(kernels(c) is None or one_kernel_per_pattern(c) is not None
+               for c in derived)
 
 
-def test_patterns_met_only_in_truncated_runs_keep_step_kernels(kernels_built,
-                                                               monkeypatch):
-    # calibrate_c runs every exact run, through run_word, and then the
-    # truncated runs through step on the same config (a compiled net is
-    # its own truncation from 2 bits on).  A config that turns hot only
-    # in the truncated runs has seen no pattern step in run_word, so its
-    # silent patterns get step kernels; the next calibration's exact
-    # runs rebuild them as chain kernels.  Both agree with a cold twin.
+def calibrated_dyck_twins(monkeypatch):
+    """Compiled Dyck, its cold twin, the 31 words of length 4 or less,
+    their step budgets and the cold twin's calibrate_c over them; the
+    net is left to turn hot only in calibrate_c's truncated runs, and
+    to build each pattern's kernel on first sight."""
     net = compiled_nets()[1]
     cfg, cold = net.cfg, stay_cold(RnnConfig.from_json(net.cfg.to_json()))
     corpus = short_words(4)
@@ -445,15 +457,45 @@ def test_patterns_met_only_in_truncated_runs_keep_step_kernels(kernels_built,
     want = calibrate_c(cold, corpus, bound.__getitem__)
     monkeypatch.setattr(network, "_HOT_STEPS", sum(d.tau for d in exact))
     monkeypatch.setattr(network, "_SIGHTINGS", 1)
+    return cfg, cold, corpus, bound, want
+
+
+def test_patterns_met_only_in_truncated_runs_keep_step_kernels(kernels_built,
+                                                               monkeypatch):
+    # calibrate_c runs every exact run, through run_word, and then the
+    # truncated runs through step on the same config (a compiled net is
+    # its own truncation from 2 bits on).  A config that turns hot only
+    # in the truncated runs builds its kernels there, and the next
+    # calibration's exact runs chain those kernels and build none.  Both
+    # agree with a cold twin.
+    cfg, cold, corpus, bound, want = calibrated_dyck_twins(monkeypatch)
     assert calibrate_c(cfg, corpus, bound.__getitem__) == want
-    assert cfg._chains == {}
-    assert all(type(kern) is FunctionType for kern in silent_kernels(cfg).values())
-    built = len(cfg._kernels)
+    silent = [key for key in one_kernel_per_pattern(cfg) if key[1] == (0, 0)]
+    assert len(silent) > 20
+    built = len(kernels_built)
     assert calibrate_c(cfg, corpus, bound.__getitem__) == want
-    kinds = [type(kern) is FunctionType for kern in silent_kernels(cfg).values()]
-    assert kinds.count(False) > 20 and kinds.count(True) > 0
-    assert len(cfg._kernels) == built and all(kernels_built)
-    assert cold._kernels is None
+    assert len(one_kernel_per_pattern(cfg)) == len(kernels(cfg))
+    assert len(kernels_built) == built and all(kernels_built)
+    assert kernels(cold) is None
+
+
+def test_kernels_built_in_truncated_runs_serve_later_run_word_calls(
+        kernels_built, monkeypatch):
+    # the kernels calibrate_c's truncated runs build are the ones
+    # run_word chains: a pass over the same corpus builds none, and the
+    # chains carry most of its steps
+    cfg, cold, corpus, bound, _want = calibrated_dyck_twins(monkeypatch)
+    calibrate_c(cfg, corpus, bound.__getitem__)
+    built = len(kernels_built)
+    assert built and all(kernels_built)
+    want = [run_word(cold, w, bound[len(w)]) for w in corpus]
+    calls, counted = [], network.step
+    monkeypatch.setattr(network, "step", lambda *a: calls.append(1) or counted(*a))
+    assert [run_word(cfg, w, bound[len(w)]) for w in corpus] == want
+    assert len(kernels_built) == built
+    # 1,149 steps, of which step takes only the words' 98
+    assert sum(d.tau for d in want) == 1149 and len(calls) == 98
+    assert kernels(cold) is None
 
 
 def test_the_evolving_lift_turns_hot_where_majority_of_three_stays_cold(
@@ -466,12 +508,15 @@ def test_the_evolving_lift_turns_hot_where_majority_of_three_stays_cold(
         for coins in product((0, 1), repeat=4):
             assert run_word(snn.base, "", 4, x2=coins).tau == 4
     assert snn.base._cold_steps == network._HOT_STEPS
-    assert snn.base._kernels is None and kernels_built == []
+    assert kernels(snn.base) is None and kernels_built == []
     e = aug.enn_from_tma(advice_eater_tma(), eater_stream(4))
     for _ in range(network._HOT_STEPS // 765 + 2):
         assert aug.enn_run(e, "0110", 5000).tau == 765
     lifted = aug._lift_evolving(e.base)
-    assert lifted._kernels and kernels_built == list(lifted._kernels.values())
+    # every kernel held was built, and the builds include its rebuilds
+    held = kernels(lifted)
+    assert held and {id(kern) for kern in held.values()} \
+        <= {id(kern) for kern in kernels_built}
 
 
 @pytest.mark.parametrize("build, text", [
@@ -488,3 +533,14 @@ def test_network_refusals(build, text):
     with pytest.raises(ValueError) as exc:
         build()
     assert text in str(exc.value)
+
+
+def test_a_cell_count_that_is_not_an_int_is_refused():
+    # JSON true equals 1 and 1.0 equals 1, but neither is a count of cells
+    d = {"k": True, "n_in": 2, "w_in": [], "w_res": [[0, 0, "1"]], "w_out": [],
+         "h0": ["0"]}
+    with pytest.raises(ValueError, match="k True is not an integer"):
+        RnnConfig.from_json(d)
+    with pytest.raises(ValueError, match="n_in must be 2 or 3"):
+        RnnConfig.from_json({**d, "k": 1, "n_in": 2.0})
+    assert RnnConfig.from_json({**d, "k": 1}).k == 1

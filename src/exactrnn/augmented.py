@@ -67,10 +67,13 @@ def _ceil_rat(x):
 
 
 def _derive(cfg, key, build):
-    """Config derived from cfg, built on first use and kept on cfg."""
+    """Config derived from cfg, built on first use and kept on cfg; it
+    counts its steps toward turning hot together with cfg (see
+    network.step)."""
     derived = cfg._derived.get(key)
     if derived is None:
         derived = cfg._derived[key] = build()
+        derived._cold_steps = cfg._cold_steps
     return derived
 
 
@@ -211,7 +214,10 @@ def _interval_net(cfg, bias_cell, lo, hi):
     the other, and inputs and rational biases enter both ends alike.
     Cells 2k and 2k + 1 hold themselves and carry the bias ends into
     bias_cell and k + bias_cell.  The net has no readout of its own;
-    _interval_readout pins cfg's outputs from both ends.
+    _interval_readout pins cfg's outputs from both ends.  Both pins read
+    0 unless an output line reads a cell j with a positive weight while
+    j's upper end is live, so the net's read cells (_read_cells, which
+    its kernel chains stop at) are those upper ends.
     """
     k = cfg.k
 
@@ -226,8 +232,10 @@ def _interval_net(cfg, bias_cell, lo, hi):
                 w_res[(i, j)] = w_res[(k + i, k + j)] = w
             else:
                 w_res[(i, k + j)] = w_res[(k + i, j)] = w
-        return RnnConfig(k=2 * k + 2, w_in=w_in, w_res=w_res,
-                         h0=cfg.h0 + cfg.h0 + (lo, hi), n_in=cfg.n_in)
+        net = RnnConfig(k=2 * k + 2, w_in=w_in, w_res=w_res,
+                        h0=cfg.h0 + cfg.h0 + (lo, hi), n_in=cfg.n_in)
+        net._read_cells = frozenset(k + j for j in cfg._read_cells)
+        return net
 
     return _derive(cfg, ("interval", bias_cell, lo, hi), build)
 
@@ -256,14 +264,6 @@ def _interval_readout(cfg, state):
     return _pin(*sums[0], one), y1
 
 
-def _interval_advance(ctx, state, x):
-    """drive's one-step semantics for interval runs: an exact step of
-    the interval net, read out from both ends."""
-    net, cfg = ctx
-    state = step(net, state, x)[0]
-    return state, _interval_readout(cfg, state)
-
-
 def ann_run(a, w, max_steps, start_bits=None, max_bits=1 << 16):
     """Protocol run of an analog network, exact in the limit.
 
@@ -275,10 +275,12 @@ def ann_run(a, w, max_steps, start_bits=None, max_bits=1 << 16):
     raises UndefinedThreshold; hitting max_bits raises
     PrecisionExhausted.
 
-    Each attempt is an exact run of the interval net (_interval_net),
-    which holds both ends of every cell's interval, so it takes
-    network.step and its kernels; the outputs are pinned from both ends
-    by integer comparisons.
+    Each attempt is an exact run_word of the interval net
+    (_interval_net), which holds both ends of every cell's interval, so
+    it takes network.step and, once the net is hot, the chains of its
+    kernels after the word; the outputs are pinned from both ends by
+    integer comparisons (_interval_readout), which a chain makes only at
+    a state of a read pattern, since every other state pins to (0, 0).
     """
     check_protocol(w, max_steps)
     bits = start_bits if start_bits is not None else 16
@@ -288,8 +290,8 @@ def ann_run(a, w, max_steps, start_bits=None, max_bits=1 << 16):
         lo, hi = _bias_interval(a.bias_stream.prefix(bits))
         net = _interval_net(a.base, a.bias_cell, lo, hi)
         try:
-            return drive(_interval_advance, (net, a.base), net._start, w,
-                         max_steps, net.n_in)
+            return run_word(net, w, max_steps,
+                            readout=functools.partial(_interval_readout, a.base))
         except _Unresolved:
             bits *= 2
     raise PrecisionExhausted(f"still unresolved at {max_bits} bias digits")

@@ -21,7 +21,8 @@ only.
 A compiled network's live cells follow its finite control, not the
 word, so a long run meets the same few hundred (live cells, input)
 patterns over and over, and so does the advice replay of an evolving
-net.  A config that has taken _HOT_STEPS steps turns hot if it has two
+net.  A config that has taken _HOT_STEPS steps, together with the
+other configs derived from the same net, turns hot if it has two
 input lines or its step is long, and keeps one _Pattern for each
 pattern it then steps.  After every interpreted step the pattern learns
 its successor, the live cells the step reached, and on its
@@ -46,27 +47,33 @@ verify meets each of its patterns a few times at most.  A net whose
 third input line (coins) drives its live cells and whose steps stay
 short, such as majority of three, never turns hot.
 
-Once a word has ended, the input is (0,0) and a hot compiled step is a
-few integer adds, so the NetworkState, the dict, the lowest terms and
-the pattern key that step builds around them cost more than the adds.
-An untraced run_word of a config with two input lines therefore hands
-each kernel's return straight to the kernel of the successor it names
-for the rest of the word, and builds a state only where the chain
-stops: on entering a state that is read out (the chain goes on from
-it unless the output fires), at a successor without a kernel or not
-yet seen, or at the step budget.  step and the chains run the same
-kernels, so which calls come first does not change what a pattern
-holds.
+Once a word has ended, the input is (0,0) (or (0,0,b), with the
+evolving bit or coin b on a third line) and a hot step is a few integer
+operations, so the NetworkState, the dict, the lowest terms and the
+pattern key that step builds around them cost more than the operations.
+Every untraced run_word therefore hands each kernel's return straight
+to the kernel of the successor it names for the rest of the run, and
+builds a state only where the chain stops: on entering a state that is
+read out (the chain goes on from it unless the output fires), at a
+successor without a kernel or not yet seen, or at the step budget.  On
+a third line the chain reads each step's bit, and where it differs from
+the input of the successor's pattern it takes the pattern of the same
+live cells and that input, and stops where there is none or it has no
+kernel.  The interval nets of analog runs chain the same way, with the
+readout of the analog net in place of their own, and a config names
+the cells whose liveness makes a state read (_read_cells), so a chain
+passes every state whose output is (0, 0) without reading it.  step and
+the chains run the same kernels, so which calls come first does not
+change what a pattern holds.
 
 Word I/O protocol: bit i of the word arrives as x_0 = w_i with
 validation x_1 = 1, input then goes silent (0,0).  The network answers
 with a single spike y_1 = 1 whose companion bit y_0 carries
 accept/reject; output must be (0,0) strictly before that.  ``drive``
-runs that protocol over any one-step semantics: the exact ``step`` of
-``run_word``, and the truncated step and the interval readout that
-``augmented`` puts around ``step``; an untraced ``run_word`` of a net
-with two input lines runs it in ``_chained``, with the same rule
-(``_outcome``).
+runs that protocol over any one-step semantics: the exact ``step`` of a
+traced ``run_word``, and the truncated step that ``augmented`` puts
+around ``step``; every untraced ``run_word`` runs it in ``_chained``,
+with the same rule (``_outcome``).
 """
 
 import math
@@ -158,15 +165,21 @@ class RnnConfig:
             self._res_by_col.setdefault(j, []).append((i, num(w)))
         self._out_rows = tuple([(j, num(w)) for (r, j), w in self.w_out.items() if r == row]
                                for row in (0, 1))
+        # the cells an output line reads with a positive weight: a state
+        # with none of them live outputs (0, 0) (see _Pattern); an
+        # interval net names its own (augmented._interval_net)
+        self._read_cells = frozenset(j for row in self._out_rows for j, w in row if w > 0)
         self._start = NetworkState(0, self.h0)
         # configs derived from this one (truncations, lifts, installed
         # biases, interval nets), built once on first use; the config is
         # immutable, so they never go stale
         self._derived = {}
-        # steps taken cold, and once there were _HOT_STEPS of them the
-        # patterns stepped, by (live cells, input), and the number of
-        # them that hold a kernel (see step); immutable as above
-        self._cold_steps = 0
+        # the steps taken cold, in a one-item list that the configs
+        # derived from this one share (augmented._derive), and once there
+        # were _HOT_STEPS of them the patterns stepped, by (live cells,
+        # input), and the number of them that hold a kernel (see step);
+        # immutable as above
+        self._cold_steps = [0]
         self._patterns = None
         self._kernel_count = 0
 
@@ -346,16 +359,17 @@ class _Pattern:
     by live cells (the successor is keyed with the same input, so the
     successor of a silent pattern is the silent pattern of the next
     state), and kernel is its kernel once built (None before).  reads
-    tells whether an output line reads one of its live cells with a
-    positive weight: a state of a pattern that is not read has the
-    output pair (0, 0).
+    tells whether one of its live cells is among cfg._read_cells, those
+    an output line reads with a positive weight (on an interval net,
+    the upper ends of those of its analog net): a state of a pattern
+    that is not read has the output pair (0, 0).
     """
 
     __slots__ = ("live", "x", "reads", "seen", "succ", "kernel")
 
     def __init__(self, cfg, live, x):
         self.live, self.x, self.seen, self.succ, self.kernel = live, x, 0, {}, None
-        self.reads = any(w > 0 and j in live for row in cfg._out_rows for j, w in row)
+        self.reads = not cfg._read_cells.isdisjoint(live)
 
 
 def _teach(cfg, pat, live):
@@ -521,10 +535,13 @@ def step(cfg, state, x):
     linear in its length, but a long step is still bound by the Python
     work per edge, and a config that keeps stepping long turns hot.
 
-    Each config counts its steps.  After _HOT_STEPS of them a config
-    is hot if it has two input lines or the step is long, and then a
-    step of either size looks up the pattern of (the state's live
-    cells, x).  A pattern with a kernel (see _kernel) hands it the
+    Each config counts its steps, and the configs derived from one net
+    (its truncations, lift, installed biases and interval nets) count
+    them together: a repeated job that spreads its steps over many of
+    them turns them hot as soon as a job that steps a single config.
+    After _HOT_STEPS of them a config is hot if it has two input lines
+    or the step is long, and then a step of either size looks up the
+    pattern of (the state's live cells, x).  A pattern with a kernel (see _kernel) hands it the
     live numerators and den; the kernel's return, brought to lowest
     terms, is the next state, the same as the loop's, and it is read
     out only when the successor's pattern is read (_Pattern.reads).
@@ -541,8 +558,9 @@ def step(cfg, state, x):
     den = state.den
     patterns = cfg._patterns
     if patterns is None:
-        if cfg._cold_steps < _HOT_STEPS:
-            cfg._cold_steps += 1
+        cold = cfg._cold_steps
+        if cold[0] < _HOT_STEPS:
+            cold[0] += 1
         elif cfg.n_in == 2 or cfg._den * den >= _LONG:
             patterns = cfg._patterns = {}
     pat = None
@@ -618,7 +636,10 @@ def drive(advance, ctx, state, w, max_steps, n_in, x2=None, trace=None):
     Feeds w with validation, then silence, for at most max_steps steps
     and returns a Decision; stray output before the spike raises
     ProtocolViolation.  x2 (sequence or callable) feeds the stochastic
-    line when n_in is 3; a trace list receives (t, state.h, y).
+    line when n_in is 3; a trace list receives (t, state.h, y).  Its
+    two callers are a traced run_word, which steps with step, and the
+    truncated runs of augmented, which cut each state back after step;
+    every untraced exact run goes through _chained instead.
     """
     check_protocol(w, max_steps)
     for t in range(max_steps):
@@ -638,59 +659,87 @@ def _outcome(y, tau, trace=None):
     raise ProtocolViolation(f"output bit fired without validation at t={tau}")
 
 
-def run_word(cfg, w, max_steps, want_trace=False, x2=None):
+def run_word(cfg, w, max_steps, want_trace=False, x2=None, readout=None):
     """Exact protocol run of cfg on w (see drive); the Decision holds
     the trace [(t, h, y), ...] when want_trace is set.
 
-    An untraced run of a config with two input lines goes through
-    _chained, which chains the kernels of the silent phase once the
-    config is hot (see the module docstring).  A traced run and a run of
-    a config with a third line take drive's loop.
+    An untraced run goes through _chained, which chains the kernels of
+    the steps after the word once the config is hot (see the module
+    docstring); a traced run takes drive's loop.  readout(state), if
+    given, stands for cfg.readout in an untraced run: ann_run reads its
+    interval nets so (cfg._read_cells then names the cells it reads).
     """
-    if want_trace or cfg.n_in != 2:
-        return drive(step, cfg, cfg._start, w, max_steps, cfg.n_in, x2,
-                     [] if want_trace else None)
-    return _chained(cfg, w, max_steps)
+    if want_trace:
+        return drive(step, cfg, cfg._start, w, max_steps, cfg.n_in, x2, [])
+    return _chained(cfg, w, max_steps, x2, readout)
 
 
-def _chained(cfg, w, max_steps):
-    """run_word of a config with two input lines, untraced.
+def _chained(cfg, w, max_steps, x2=None, readout=None):
+    """run_word untraced.
 
     Every step of a cold config goes through step, and so does the
-    word.  On a hot config, after the word, a state whose silent pattern
-    has a kernel hands its numerators and den to it, and each kernel's
-    return goes to the kernel of the successor it names, until a kernel
-    returns None, a successor has no kernel or is read, or the budget
-    ends; the state is built there.  A read state is read out, and
-    unless the output fires the chain goes on from it; any other stop
-    leaves the next step to step.
+    word.  On a hot config, after the word, a state whose pattern has a
+    kernel hands its numerators and den to it, and each kernel's return
+    goes to the kernel of the successor it names, until a kernel returns
+    None, a successor has no kernel or is read, or the budget ends; the
+    state is built there.  With a third line the chain reads each next
+    input (x2's bit); where it is not the input of the successor's
+    pattern, the chain goes on from the pattern of the same live cells
+    and that input, and stops where there is none or it has no kernel.
+    A read state is read out, and unless the output fires the chain goes
+    on from it; any other stop leaves the next step to step.  Each
+    step's input is read once.
     """
     check_protocol(w, max_steps)
-    n = len(w)
-    state = cfg._start
-    while state.t < max_steps:
-        t = state.t
-        if t >= n and cfg._patterns is not None:
-            pat = cfg._patterns.get((tuple(state.nums), _SILENT))
+    n, n_in = len(w), cfg.n_in
+    read = readout or cfg.readout
+    state, t, x = cfg._start, 0, None
+    while t < max_steps:
+        if x is None:
+            x = input_at(w, t, n_in, x2)
+        patterns = cfg._patterns
+        if t >= n and patterns is not None:
+            pat = patterns.get((tuple(state.nums), x))
             kern = pat and pat.kernel
             if kern:
                 r = (*state.nums.values(), state.den)
-                while t < max_steps:
-                    nxt = kern(*r)
-                    if nxt is None:
-                        break
-                    r, pat, t = nxt, nxt[-1], t + 1
-                    kern = pat.kernel
-                    if pat.reads or kern is None:
-                        break
+                if n_in == 2:
+                    while t < max_steps:
+                        nxt = kern(*r)
+                        if nxt is None:
+                            break
+                        r, pat, t = nxt, nxt[-1], t + 1
+                        kern = pat.kernel
+                        if pat.reads or kern is None:
+                            break
+                else:
+                    while True:
+                        nxt = kern(*r)
+                        if nxt is None:
+                            break
+                        r, pat, t, x = nxt, nxt[-1], t + 1, None
+                        if pat.reads or t == max_steps:
+                            break
+                        x = input_at(w, t, 3, x2)
+                        if x != pat.x:
+                            keyed = patterns.get((pat.live, x))
+                            if keyed is None:
+                                break
+                            pat = keyed
+                        kern = pat.kernel
+                        if kern is None:
+                            break
                 if t > state.t:
                     state = _reduced(t, cfg.k, r[-2], dict(zip(pat.live, r)))
                     if pat.reads:
-                        y = cfg.readout(state)
+                        y = read(state)
                         if y[0] or y[1]:
                             return _outcome(y, t)
                     continue
-        state, y = step(cfg, state, input_at(w, t, 2))
+        state, y = step(cfg, state, x)
+        if readout is not None:
+            y = readout(state)
+        t, x = t + 1, None
         if y[0] or y[1]:
-            return _outcome(y, t + 1)
+            return _outcome(y, t)
     return Decision("timeout")

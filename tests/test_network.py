@@ -311,8 +311,9 @@ def test_parity_and_dyck_stay_under_the_kernel_cap(hot):
 
 
 def stay_cold(cfg):
-    """cfg, kept on the interpreted loop however many steps it takes."""
-    cfg._cold_steps = -10 ** 9
+    """cfg, kept on the interpreted loop however many steps it takes
+    (with every config that counts its steps together with it)."""
+    cfg._cold_steps[0] = -10 ** 9
     return cfg
 
 
@@ -498,6 +499,37 @@ def test_kernels_built_in_truncated_runs_serve_later_run_word_calls(
     assert kernels(cold) is None
 
 
+def test_configs_derived_from_one_net_count_their_steps_together(
+        monkeypatch):
+    # calibrate_c and the truncated runs spread a repeated job over many
+    # truncations of one analog net (one per q, each on its own bias);
+    # they count their steps on that net, so the truncations stepped
+    # after the count is reached, and a new one on its first step, are
+    # hot, while the same truncations of another copy of the net stay
+    # cold
+    monkeypatch.setattr(network, "_HOT_STEPS", 200)
+    a, other = (aug.ann_from_tma(stream_compare_tma(), two_thirds_stream())
+                for _ in range(2))
+
+    def truncation(spec, q):
+        return aug.truncate_config(aug._with_prefix_bias(spec, q), q)
+
+    for q in (60, 100, 140):
+        cfg = truncation(a, q)
+        assert cfg._cold_steps is a.base._cold_steps and cfg is not a.base
+        state = cfg._start
+        for t in range(70):
+            state = step(cfg, state, input_at("10", t, 2))[0]
+    assert a.base._cold_steps == [200]
+    assert [truncation(a, q)._patterns is not None
+            for q in (60, 100, 140)] == [False, False, True]
+    fresh, cold = truncation(a, 180), truncation(other, 180)
+    for cfg in (fresh, cold):
+        step(cfg, cfg._start, (1, 1))
+    assert fresh._patterns is not None and cold._patterns is None
+    assert other.base._cold_steps == [1]
+
+
 def test_the_evolving_lift_turns_hot_where_majority_of_three_stays_cold(
         kernels_built):
     # a net with a third input line turns hot only on a long step: the
@@ -507,7 +539,7 @@ def test_the_evolving_lift_turns_hot_where_majority_of_three_stays_cold(
     for _ in range(network._HOT_STEPS // 64 + 2):
         for coins in product((0, 1), repeat=4):
             assert run_word(snn.base, "", 4, x2=coins).tau == 4
-    assert snn.base._cold_steps == network._HOT_STEPS
+    assert snn.base._cold_steps == [network._HOT_STEPS]
     assert kernels(snn.base) is None and kernels_built == []
     e = aug.enn_from_tma(advice_eater_tma(), eater_stream(4))
     for _ in range(network._HOT_STEPS // 765 + 2):

@@ -670,15 +670,16 @@ def test_kernels_run_random_truncated_loops_like_reference(hot, cfg, q, w, x2):
 
 
 # -------------------------------------------------------- chained runs
-# run_word of a hot config with two input lines runs the steps after the
-# word as a chain of kernels on bare integers (network._chained)
+# an untraced run_word of a hot config runs the steps after the word as
+# a chain of kernels on bare integers (network._chained); the nets here
+# have two input lines
 
 
 def cold_twin(cfg):
     """A copy of cfg that takes step's interpreted loop however many
     steps it takes."""
     twin = RnnConfig.from_json(cfg.to_json())
-    twin._cold_steps = -10 ** 9
+    twin._cold_steps[0] = -10 ** 9
     return twin
 
 
@@ -809,3 +810,206 @@ def test_chained_runs_read_a_negative_sum_as_zero(hot):
     assert decision(lambda: run_word(cold, "", 20)) == ("ok", ("reject", 12))
     for _ in range(2):
         assert_chained_runs_agree(cfg, "", 14, cold)
+
+
+# ---------------------------------------------------- three-line chains
+# after the word the chain reads the third line's bit for each step and,
+# where it is not the input of the successor's pattern, goes on from the
+# pattern of the same live cells and that input
+
+
+def count_calls(monkeypatch, name):
+    """The calls of network.<name> from here on, one entry each: of
+    step, the steps it takes, of _reduced, the states that step's loop
+    and the chains build."""
+    calls, counted = [], getattr(network, name)
+    monkeypatch.setattr(network, name, lambda *a: calls.append(1) or counted(*a))
+    return calls
+
+
+def assert_evolving_runs_agree(e, w, tau):
+    """enn_run of e at every budget from len(w) to tau agrees with the
+    run of the cold twin of its lifted config on the same bits."""
+    cold = cold_twin(aug._lift_evolving(e.base))
+    for budget in range(len(w), tau + 1):
+        got = decision(lambda: aug.enn_run(e, w, budget))
+        want = decision(lambda: run_word(cold, w, budget, x2=e.evolving_bias.bit))
+        assert got == want, (w, budget)
+    assert cold._patterns is None
+
+
+@pytest.mark.parametrize("f, words", [(8, ("", "1")), (20, ("",))])
+def test_chained_evolving_runs_match_cold_runs_on_the_eater(hot, f, words):
+    # the replay's operands pass 64 bits, so the lifted net turns hot
+    e = aug.enn_from_tma(advice_eater_tma(), eater_stream(f))
+    for w in words:
+        d = aug.enn_run(e, w, 10 ** 4)
+        assert d.kind == "accept"
+        assert_evolving_runs_agree(e, w, d.tau)
+    # the patterns after the word are keyed by the evolving bit, and
+    # both bits have kernels
+    inputs = {x for (_live, x), pat in aug._lift_evolving(e.base)._patterns.items()
+              if pat.kernel}
+    assert {(0, 0, 0), (0, 0, 1)} <= inputs
+    assert hot and all(hot)
+
+
+def test_chained_evolving_runs_rekey_where_the_bit_flips(hot, monkeypatch):
+    # the 2/3 stream's bits alternate, so past the word every step's
+    # input differs from the one before it
+    e = aug.enn_from_tma(stream_compare_tma(), two_thirds_stream())
+    taus = {}
+    for w in ("", "0"):
+        taus[w] = aug.enn_run(e, w, 10 ** 4).tau
+        assert_evolving_runs_agree(e, w, taus[w])
+    # run again, the chains go past every flip: step takes the word's
+    # steps and those of the few patterns without a kernel, and a state
+    # is built only there and where the last chain stops, at the spike
+    calls = count_calls(monkeypatch, "step")
+    built = count_calls(monkeypatch, "_reduced")
+    for w, tau in taus.items():
+        calls.clear()
+        built.clear()
+        assert aug.enn_run(e, w, 10 ** 4).tau == tau
+        assert len(calls) < len(w) + 10 < tau // 10
+        assert len(built) <= len(calls) + 1
+    assert hot and all(hot)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sparse_configs().filter(lambda cfg: cfg.n_in == 3),
+       st.text("01", max_size=4), st.lists(st.integers(0, 1), min_size=14, max_size=14))
+def test_chained_runs_match_cold_runs_on_random_three_line_configs(hot, cfg, w, x2):
+    # a net with a third line turns hot only on a long step, so it is
+    # made hot here; twice, so that the second pass runs the kernels the
+    # first built
+    cfg._patterns = {}
+    cold = cold_twin(cfg)
+    for _ in range(2):
+        for budget in range(len(w), len(w) + 11):
+            got = decision(lambda: run_word(cfg, w, budget, x2=x2))
+            assert got == decision(lambda: run_word(cold, w, budget, x2=x2))
+    assert cold._patterns is None
+
+
+@pytest.mark.parametrize("w_out, cell_2, fires, states", [
+    ({(0, 2): 1}, {(2, 1): 2, (2, 0): -1}, 13, 1),
+    ({(0, 1): 2, (0, 0): -1}, {}, 12, 9)])
+def test_chained_three_line_runs_stop_where_the_output_fires(
+        hot, monkeypatch, w_out, cell_2, fires, states):
+    # cell 0 is one, cell 1 doubles from 2^-12 and so reaches one at
+    # step 12, and cell 3 is live whatever the coin, so each coin flip
+    # re-keys the chain.  A mis-wired net whose data line fires with no
+    # spike: where it reads cell 2 = 2 * cell 1 - 1, at step 13, the
+    # first state it reads; where it reads 2 * cell 1 - cell 0, at step
+    # 12, and every state is read, so the chain stops at each, and the
+    # pattern that fires has a kernel (its live cells step to themselves)
+    cfg = RnnConfig(k=4, n_in=3, w_in={(0, 3): 1, (3, 2): R(1) / 4},
+                    w_res={(1, 1): 2, (3, 0): R(1) / 2, **cell_2},
+                    w_out=w_out, h0=[1, R(1) / 2 ** 12, 0, 0])
+    cfg._patterns = {}
+    cold = cold_twin(cfg)
+    x2 = [1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1]
+    want = ("ProtocolViolation", f"output bit fired without validation at t={fires}")
+    for _ in range(2):
+        for budget in range(3, 21):
+            got = decision(lambda: run_word(cfg, "011", budget, x2=x2))
+            assert got == decision(lambda: run_word(cold, "011", budget, x2=x2))
+        assert got == want
+    # the chain carries steps 4 to the firing step, so step takes just
+    # the word's three, and a state is built only where the chain stops
+    calls = count_calls(monkeypatch, "step")
+    built = count_calls(monkeypatch, "_reduced")
+    assert decision(lambda: run_word(cfg, "011", 20, x2=x2)) == want
+    assert len(calls) == 3
+    assert len(built) - len(calls) <= states
+
+
+# ------------------------------------------------------- interval chains
+# ann_run's interval nets chain their kernels after the word like any
+# net with two input lines; a chain stops at a state of a read pattern
+
+
+def delayed_analog_net(shift, out):
+    """A net whose analog bias r enters cell 0 and that reads it at step
+    9: cells 2 to 9 pass a one down a line, and cell 1 sums
+    6 r + shift * cell 9 - 10, below 0 until cell 9 turns one at step
+    8.  Both output lines read cell 1 with weight out, so the states of
+    steps 1 to 8 are not read."""
+    w_res = {(2 + i, 1 + i): 1 for i in range(1, 8)}
+    w_res.update({(1, 0): 6, (1, 9): shift})
+    return RnnConfig(k=10, w_in={(1, 2): -10, (2, 2): 1}, w_res=w_res,
+                     w_out={(0, 1): out, (1, 1): out})
+
+
+def test_chained_interval_runs_match_reference(hot, monkeypatch):
+    # with r = 5/6 (stream 1000...), 6r - 9/2 sits on 1/2, which no
+    # precision can threshold, and 6r - 5 on 0, which no finite prefix
+    # settles; the third stream exceeds 5/6 from digit 41 on, so its
+    # run is unresolved at the read state at 16 and 32 digits and
+    # decides at 64
+    five_sixths = BitStream.from_word("1")
+    late = BitStream.from_word("1" + "0" * 39 + "1")
+    cases = [
+        (delayed_analog_net(R(11) / 2, 1), five_sixths, {}, "UndefinedThreshold"),
+        (delayed_analog_net(5, 4 ** 45), five_sixths, {"max_bits": 256},
+         "PrecisionExhausted"),
+        (delayed_analog_net(5, 4 ** 45), late, {}, "ok"),
+        (delayed_analog_net(5, 4 ** 45), late, {"start_bits": 1}, "ok"),
+    ]
+    calls = count_calls(monkeypatch, "step")
+    for base, stream, bits, tag in cases:
+        a = aug.AnnSpec(base=base, bias_stream=stream)
+        for budget in range(0, 12):
+            want = decision(lambda: fraction_ann_run(a, "", budget, **bits))
+            assert ann_decisions_agree(a, "", budget, **bits) == want
+        assert want[0] == tag
+        # once every pattern has its kernel, the chains run every step
+        # and read only the state of step 9
+        calls.clear()
+        assert ann_decisions_agree(a, "", 11, **bits) == want
+        assert calls == []
+    assert hot and all(hot)
+
+
+def test_chained_interval_runs_match_reference_on_the_stream_compare_net(
+        hot, monkeypatch):
+    a = aug.ann_from_tma(stream_compare_tma(), two_thirds_stream())
+    runs = [(w, 40 * len(w) + 60, start) for w in WORDS for start in (None, 1)]
+    for w, steps, start in runs:
+        ann_decisions_agree(a, w, steps, start_bits=start)
+    # run again: the chains carry most steps after each word
+    calls = count_calls(monkeypatch, "step")
+    for w, steps, start in runs:
+        calls.clear()
+        tag, (_kind, tau) = ann_decisions_agree(a, w, steps, start_bits=start)
+        assert tag == "ok" and len(calls) < tau // 4
+    assert hot and all(hot)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_configs(), st.data())
+def test_interval_nets_read_where_a_positive_weight_reads_a_live_upper_end(cfg, data):
+    # the read rule of an interval net's patterns, against the Fraction
+    # interval readout: a state is read exactly where an output line
+    # reads a cell j with a positive weight while j's upper end is
+    # live, and every other state pins both outputs to 0
+    cell = data.draw(st.integers(0, cfg.k - 1))
+    iv = fraction_bias_iv(data.draw(st.text("01", min_size=1, max_size=4)))
+    net = aug._interval_net(cfg, cell, *iv)
+    k = cfg.k
+    xs = data.draw(st.lists(st.tuples(*[st.integers(0, 1)] * cfg.n_in), max_size=6))
+    state = net._start
+    for x in [None] + xs:
+        if x is not None:
+            state = step(net, state, x)[0]
+        ends = state.h
+        live = tuple(state.nums)
+        rule = any(w > 0 and ends[k + j] for (_row, j), w in cfg.w_out.items())
+        assert network._Pattern(net, live, x).reads == rule
+        if not rule:
+            h = {i: (ends[i], ends[k + i]) for i in range(k) if ends[k + i]}
+            assert [fraction_pin(*pair) for pair in
+                    fraction_interval_readout(cfg, h)] == [0, 0]
+            assert aug._interval_readout(cfg, state) == (0, 0)
